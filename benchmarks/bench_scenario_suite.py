@@ -24,7 +24,6 @@ Results land in two places:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -32,7 +31,7 @@ import time
 
 from common import save_output
 
-from repro.lab.spec import canonical_json
+from repro.lab.spec import digest
 from repro.scenario import (
     SloGate,
     get_scenario,
@@ -96,7 +95,7 @@ def run_suite_probe() -> dict:
             events += sum(p["metrics"]["issued"] for p in report["points"])
 
     wall_s = time.perf_counter() - wall_start
-    combined = hashlib.sha256(canonical_json(digests)).hexdigest()[:16]
+    combined = digest(digests, 16)
     return {
         "suite_version": SUITE_VERSION,
         "digests": digests,

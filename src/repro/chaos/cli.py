@@ -82,7 +82,7 @@ def _replay(args: argparse.Namespace) -> int:
 
     try:
         scenario = ChaosScenario.load(args.replay)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         # Unreadable file, bad JSON/schema, or a digest mismatch: a usage
         # error (2), distinct from a reproduced violation (3).
         print(f"chaos: cannot load scenario {args.replay!r}: {exc}",

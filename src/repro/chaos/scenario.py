@@ -15,20 +15,18 @@ are the same experiment.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
-from ..lab.spec import canonical_json
+from ..lab.spec import digest
 
 #: Version of the unified scenario envelope.  Since v2, chaos
 #: counterexamples and `repro.scenario` workload scenarios share one
 #: envelope layout ({version, kind, name, digest, ...}), discriminated
-#: by ``kind`` — chaos files carry ``kind: "chaos"``.  v1 files (the
-#: pre-envelope chaos-only layout) still load; the digest function is
-#: unchanged, so migrated files keep their digests and replay reports.
+#: by ``kind`` — chaos files carry ``kind: "chaos"``.  The pre-envelope
+#: v1 layout is no longer read.
 SCENARIO_VERSION = 2
 
 #: Action names the harness can apply (see ChaosHarness._do_*).
@@ -69,15 +67,19 @@ class ChaosAction:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ChaosAction":
-        return cls(rule=payload["rule"], args=dict(payload.get("args", {})))
+        if not isinstance(payload, dict) or "rule" not in payload:
+            raise ValueError(f"chaos action {payload!r} is missing field 'rule'")
+        args = payload.get("args", {})
+        if not isinstance(args, dict):
+            raise ValueError(f"chaos action field 'args' must be an object, got {args!r}")
+        return cls(rule=payload["rule"], args=dict(args))
 
 
 def scenario_digest(config: Dict[str, Any], actions: Sequence[ChaosAction]) -> str:
     """Stable content digest of one scenario (config + action list)."""
-    body = canonical_json(
-        {"config": config, "actions": [action.to_dict() for action in actions]}
+    return digest(
+        {"config": config, "actions": [action.to_dict() for action in actions]}, 16
     )
-    return hashlib.sha256(body).hexdigest()[:16]
 
 
 @dataclass
@@ -115,24 +117,32 @@ class ChaosScenario:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ChaosScenario":
+        """Parse a v2 chaos envelope; every malformed payload raises
+        :class:`ValueError` naming the offending field."""
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"chaos scenario must be a JSON object, got {type(payload).__name__}"
+            )
         version = payload.get("version")
-        if version == 1:
-            # Pre-envelope layout: chaos-only, no ``kind`` discriminator.
-            # The content digest is computed identically, so legacy files
-            # replay byte-for-byte the same.
-            pass
-        elif version == SCENARIO_VERSION:
-            kind = payload.get("kind")
-            if kind != "chaos":
-                raise ValueError(
-                    f"not a chaos scenario (kind={kind!r}); "
-                    "workload scenarios load via repro.scenario"
-                )
-        else:
+        if version != SCENARIO_VERSION:
             raise ValueError(
                 f"unsupported scenario version {version!r} "
-                f"(this build reads versions 1 and {SCENARIO_VERSION})"
+                f"(this build reads version {SCENARIO_VERSION})"
             )
+        kind = payload.get("kind")
+        if kind != "chaos":
+            raise ValueError(
+                f"not a chaos scenario (kind={kind!r}); "
+                "workload scenarios load via repro.scenario"
+            )
+        for key, expected in (("name", str), ("config", dict), ("actions", list)):
+            if key not in payload:
+                raise ValueError(f"chaos scenario is missing field {key!r}")
+            if not isinstance(payload[key], expected):
+                raise ValueError(
+                    f"chaos scenario field {key!r} must be a {expected.__name__}, "
+                    f"got {type(payload[key]).__name__}"
+                )
         return cls(
             name=payload["name"],
             config=dict(payload["config"]),

@@ -65,7 +65,6 @@ def result_to_artifact(
         "bytes_moved": result.completed * plan.io_size_bytes,
         "duration_ns": plan.total_waves * plan.wave_window_ns,
         "sim_ns": cluster.sim.now,
-        "events": cluster.sim.events_processed,
         "latency_ns": [latency for _issue, latency, _srv in cluster.samples],
         "component_ns": component_ns,
         "component_count": component_count,

@@ -110,12 +110,11 @@ def cmd_dist(args) -> int:
               f"p99 {s['latency_p99_ns'] / 1000:.1f}us")
     if not args.quiet:
         print(f"  {'dep':>4s} {'stack':10s} {'done':>6s} {'inj':>5s} "
-              f"{'msgs i/o':>9s} {'events':>9s}")
+              f"{'msgs i/o':>9s}")
         for a in result.artifacts:
             print(f"  d{a['index']:<3d} {a['stack']:10s} "
                   f"{a['completed']:>6d} {a['injected_completed']:>5d} "
-                  f"{a['messages_in']:>4d}/{a['messages_out']:<4d} "
-                  f"{a['events_processed']:>9d}")
+                  f"{a['messages_in']:>4d}/{a['messages_out']:<4d}")
     if args.check:
         state = "verified" if result.shards != 1 else "trivial (1 shard)"
         print(f"  determinism   {state}")

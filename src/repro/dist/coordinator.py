@@ -18,12 +18,11 @@ so the per-window simulation work proceeds in parallel between barriers.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ..lab.spec import canonical_json
+from ..lab.spec import digest
 from ..net.fabric import ShardMessage, message_sort_key
 from ..telemetry.sketch import QuantileSketch
 from .executor import Executor, LocalPoolExecutor, SerialExecutor
@@ -86,7 +85,7 @@ def _digest(spec: FleetSpec, artifacts: List[Dict[str, Any]],
         "messages_routed": routed,
         "messages_dropped": dropped,
     }
-    return hashlib.sha256(canonical_json(material)).hexdigest()
+    return digest(material)
 
 
 def _summarize(spec: FleetSpec, artifacts: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -20,18 +20,18 @@ pickled IPC, and those are identical by construction.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from .. import __version__
-from ..lab.spec import canonical_json
+from ..lab.spec import canonical_json, digest
 from ..sim import MS
 
 #: Bump when fleet artifacts change shape — digests only compare within
-#: one schema generation.
-FLEET_SCHEMA_VERSION = 1
+#: one schema generation.  v2: per-deployment artifacts no longer
+#: record the kernel's event count (``events_processed``).
+FLEET_SCHEMA_VERSION = 2
 
 #: Cross-shard event kinds and the cross-boundary traffic they emit.
 EVENT_KINDS = ("node_fault", "migration", "incident")
@@ -245,7 +245,7 @@ class FleetSpec:
         material.pop("name")  # presentation-only
         material["version"] = __version__
         material["schema"] = FLEET_SCHEMA_VERSION
-        return hashlib.sha256(canonical_json(material)).hexdigest()
+        return digest(material)
 
 
 def partition(n_deployments: int, shards: int) -> List[List[int]]:

@@ -280,7 +280,6 @@ class DeploymentSim:
             "injected_completed": self.injected_completed,
             "injected_failed": self.injected_failed,
             "injected_bytes": self.injected_bytes,
-            "events_processed": self.sim.events_processed,
             "end_ns": self.sim.now,
             "latency": sketch.to_dict(),
         }

@@ -234,7 +234,6 @@ def execute_point(
         "bytes_moved": bytes_moved,
         "duration_ns": duration_ns,
         "sim_ns": dep.sim.now,
-        "events": dep.sim.events_processed,
         "latency_ns": list(latency.samples),
         "component_ns": component_ns,
         "component_count": len(ok_traces),

@@ -36,7 +36,8 @@ from ..sim import MS, SECOND, US
 #: Bump when the artifact layout changes: old cache entries stop matching.
 #: v5: trace workloads gained ``size_scale`` and are hang-watched at issue
 #: (``watched`` now counts replayed I/Os), for the scenario plane.
-SCHEMA_VERSION = 5
+#: v6: artifacts no longer record the kernel's event count (``events``).
+SCHEMA_VERSION = 6
 
 WORKLOAD_MODES = ("fio", "isolated", "trace")
 
@@ -56,6 +57,13 @@ def canonical_json(obj: Any) -> bytes:
         json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
         + "\n"
     ).encode("ascii")
+
+
+def digest(obj: Any, length: Optional[int] = None) -> str:
+    """sha256 hex digest of ``canonical_json(obj)``, cut to ``length``
+    characters when given — the one content address every artifact,
+    spec, trace and report digest in the package is computed with."""
+    return hashlib.sha256(canonical_json(obj)).hexdigest()[:length]
 
 
 @dataclass(frozen=True)
@@ -374,23 +382,30 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "ExperimentSpec":
-        d = dict(d)
-        w = dict(d.pop("workload"))
-        w["block_sizes"] = tuple(w["block_sizes"])
-        w["records"] = tuple(tuple(r) for r in w["records"])
-        upgrade = d.pop("upgrade", None)
-        telemetry = d.pop("telemetry", None)
-        rebuild = d.pop("rebuild", None)
-        return cls(
-            deployment=DeploymentSpec(**d.pop("deployment")),
-            workload=WorkloadSpec(**w),
-            faults=tuple(FaultSpec(**f) for f in d.pop("faults")),
-            seeds=tuple(d.pop("seeds")),
-            upgrade=UpgradeSpec(**upgrade) if upgrade is not None else None,
-            telemetry=TelemetrySpec(**telemetry) if telemetry is not None else None,
-            rebuild=RebuildSpec(**rebuild) if rebuild is not None else None,
-            **d,
-        )
+        """Inverse of :meth:`to_dict`.  A malformed payload raises
+        :class:`ValueError` naming the missing or unknown field."""
+        try:
+            d = dict(d)
+            w = dict(d.pop("workload"))
+            w["block_sizes"] = tuple(w["block_sizes"])
+            w["records"] = tuple(tuple(r) for r in w["records"])
+            upgrade = d.pop("upgrade", None)
+            telemetry = d.pop("telemetry", None)
+            rebuild = d.pop("rebuild", None)
+            return cls(
+                deployment=DeploymentSpec(**d.pop("deployment")),
+                workload=WorkloadSpec(**w),
+                faults=tuple(FaultSpec(**f) for f in d.pop("faults")),
+                seeds=tuple(d.pop("seeds")),
+                upgrade=UpgradeSpec(**upgrade) if upgrade is not None else None,
+                telemetry=TelemetrySpec(**telemetry) if telemetry is not None else None,
+                rebuild=RebuildSpec(**rebuild) if rebuild is not None else None,
+                **d,
+            )
+        except KeyError as exc:
+            raise ValueError(f"experiment spec is missing field {exc.args[0]!r}") from None
+        except TypeError as exc:  # an unknown or mistyped field
+            raise ValueError(f"experiment spec: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -411,9 +426,7 @@ class ExperimentSpec:
         """Content address of the (spec, seed) point's result artifact."""
         if seed not in self.seeds:
             raise ValueError(f"seed {seed} not in {self.seeds}")
-        return hashlib.sha256(
-            canonical_json(self._digest_material(seed))
-        ).hexdigest()
+        return digest(self._digest_material(seed))
 
     def points(self) -> List[Tuple["ExperimentSpec", int, str]]:
         """All (spec, seed, digest) points of this experiment, seed order."""

@@ -11,31 +11,24 @@ A :class:`Link` is a full-duplex cable built from two independent
 Receivers are any object with ``receive(packet, ingress)`` where ``ingress``
 is the channel the packet arrived on.
 
-Fast path
----------
+Event plumbing
+--------------
 
-Moving one packet across a channel historically cost two simulator
-events: a serialization-finish at ``t_f = start + wire`` and a delivery
-at ``t_d = t_f + propagation``.  On an uncontended line nothing observes
-the instant ``t_f`` — the finish event existed only to bump tx counters
-and poll an empty queue — so the fast path folds both into a single
-*combined* event at ``t_d`` and lazily settles the tx statistics (they
-are re-derived on read for any observer that looks between ``t_f`` and
-``t_d``).  The folded finish is accounted to
-:meth:`repro.sim.engine.Simulator.credit_events`, keeping
-``events_processed`` — and every artifact embedding it — identical to
-the two-event execution.  When the line *is* contended (another frame is
-queued behind the one in flight), the finish event is materialized at
-exactly ``t_f`` so the next serialization starts on time, reproducing
-the legacy event-for-event behaviour.
-
-Set ``REPRO_LINK_FASTPATH=0`` to force the legacy two-event path
-(cross-checked by ``tests/test_net.py``).
+A frame crossing a channel is serialized from ``start`` to
+``t_f = start + wire`` and delivered at ``t_d = t_f + propagation``.
+On an uncontended line nothing observes the instant ``t_f``, so the
+channel schedules one delivery event at ``t_d`` and settles the tx
+statistics lazily (they are re-derived on read for any observer that
+looks between ``t_f`` and ``t_d``).  When the line *is* contended
+(another frame is queued behind the one in flight), a finish event is
+materialized at exactly ``t_f`` so the next serialization starts on
+time.  ``tests/kernel_oracles.py`` keeps the plain two-event channel
+(finish event, then delivery event, for every frame) that the tests
+compare this against.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import List, Optional, Protocol, Tuple
 
@@ -43,9 +36,6 @@ from ..profiles import bytes_time_ns
 from ..sim.engine import Simulator
 from .packet import Packet
 from .queue import DropTailQueue
-
-#: Environment escape hatch: set to ``0`` to disable event coalescing.
-FASTPATH_ENV = "REPRO_LINK_FASTPATH"
 
 #: Monotonic generation counter for link-state-derived caches (switch
 #: route candidates, endpoint live-uplink lists).  Bumped on every
@@ -112,13 +102,11 @@ class Channel:
         else:
             self.queue = DropTailQueue(queue_capacity_bytes, name=f"{name}.q")
         self._up = True
-        self._fastpath = os.environ.get(FASTPATH_ENV, "1") != "0"
-        self._transmitting = False
         self._tx_packets = 0
         self._tx_bytes = 0
         #: Frames serialized (logically) but with stats not yet settled.
         self._pending: "deque[_InFlight]" = deque()
-        #: The frame currently on the wire (fast path's busy test).
+        #: The frame currently on the wire (the busy test).
         self._tail: Optional[_InFlight] = None
         #: Combined events outstanding; the transition log lives while > 0.
         self._outstanding = 0
@@ -161,10 +149,6 @@ class Channel:
             return False
         if not self.queue.offer(packet):
             return False
-        if not self._fastpath:
-            if not self._transmitting:
-                self._start_next()
-            return True
         tail = self._tail
         # Busy iff the tail frame is still serializing.  The tie case
         # (now == finish_ns with a materialized finish event not yet
@@ -184,9 +168,6 @@ class Channel:
         self._begin(self.queue.poll())
         return True
 
-    # ------------------------------------------------------------------
-    # Fast path
-    # ------------------------------------------------------------------
     def _begin(self, packet: Packet) -> None:
         wire_ns = bytes_time_ns(packet.size_bytes, self.gbps)
         rec = _InFlight(packet, self.sim.now + wire_ns)
@@ -202,7 +183,7 @@ class Channel:
 
     def _finish_fast(self, rec: _InFlight) -> None:
         # Fires at rec.finish_ns, only for materialized (contended)
-        # frames — mirrors the legacy finish event exactly.
+        # frames.
         rec.finished = True
         rec.up_at_finish = self.up
         if not self.up:
@@ -217,10 +198,6 @@ class Channel:
             up_at_finish = rec.up_at_finish
         else:
             up_at_finish = self._up_at(rec.finish_ns)
-            if up_at_finish:
-                # The folded serialization-finish: keep events_processed
-                # identical to the two-event execution.
-                self.sim.credit_events(1)
         self._retire(rec)
         if up_at_finish and self.up:
             self.dst.receive(rec.packet, self)
@@ -246,29 +223,6 @@ class Channel:
                 self._settle(self.sim.now)
         elif self._tail is rec:
             self._tail = None
-
-    # ------------------------------------------------------------------
-    # Legacy two-event path (REPRO_LINK_FASTPATH=0)
-    # ------------------------------------------------------------------
-    def _start_next(self) -> None:
-        packet = self.queue.poll()
-        if packet is None:
-            self._transmitting = False
-            return
-        self._transmitting = True
-        wire_ns = bytes_time_ns(packet.size_bytes, self.gbps)
-        self.sim.schedule(wire_ns, self._finish_serialize, packet)
-
-    def _finish_serialize(self, packet: Packet) -> None:
-        self._tx_packets += 1
-        self._tx_bytes += packet.size_bytes
-        if self.up:
-            self.sim.schedule(self.propagation_ns, self._deliver, packet)
-        self._start_next()
-
-    def _deliver(self, packet: Packet) -> None:
-        if self.up:
-            self.dst.receive(packet, self)
 
     # ------------------------------------------------------------------
     @property

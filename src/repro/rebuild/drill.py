@@ -206,7 +206,6 @@ def execute_rebuild_point(spec: ExperimentSpec, seed: int) -> Dict[str, Any]:
         "bytes_moved": job.bytes_moved,
         "duration_ns": job.result().duration_ns,
         "sim_ns": dep.sim.now,
-        "events": dep.sim.events_processed,
         "latency_ns": list(job.latency.samples),
         "component_ns": component_ns,
         "component_count": len(ok_traces),

@@ -19,7 +19,6 @@ deterministic end to end — trace recipes are generated from fixed seeds
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -30,7 +29,7 @@ from ..lab.spec import (
     RebuildSpec,
     UpgradeSpec,
     WorkloadSpec,
-    canonical_json,
+    digest,
 )
 from ..metrics.stats import percentile
 from ..sim import MS, US
@@ -134,7 +133,10 @@ class SloGate:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SloGate":
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # an unknown or mistyped field
+            raise ValueError(f"SLO gate: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -151,10 +153,7 @@ class Scenario:
     def digest(self) -> str:
         """Stable content digest over everything that can change the
         verdict (spec + gates; name/description/tags are presentation)."""
-        body = canonical_json(
-            {"spec": self.spec.to_dict(), "slo": self.slo.to_dict()}
-        )
-        return hashlib.sha256(body).hexdigest()[:16]
+        return digest({"spec": self.spec.to_dict(), "slo": self.slo.to_dict()}, 16)
 
     # -- envelope serialization (kind="workload") -----------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -181,6 +180,9 @@ class Scenario:
             raise ValueError(
                 f"not a workload scenario (kind={payload.get('kind')!r})"
             )
+        for key in ("name", "spec"):
+            if key not in payload:
+                raise ValueError(f"workload scenario is missing field {key!r}")
         scenario = cls(
             name=payload["name"],
             description=payload.get("description", ""),

@@ -234,7 +234,7 @@ def _verify(args: argparse.Namespace) -> int:
                 trace = FleetTrace.load(file)
                 print(f"{file}: ok (fleet trace, digest {trace.digest}, "
                       f"{trace.records_total} record(s))")
-        except (OSError, ValueError, KeyError, TraceFormatError) as exc:
+        except (OSError, ValueError, TraceFormatError) as exc:
             print(f"{file}: FAILED: {exc}", file=sys.stderr)
             status = 2
     return status

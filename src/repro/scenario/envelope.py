@@ -8,9 +8,8 @@ this package) serialize into the same JSON envelope::
 
 :func:`load_envelope` sniffs the kind and returns the right object;
 callers that only accept one kind dispatch on the returned type.
-Version-1 files — the pre-envelope chaos-only layout the harness wrote
-before the scenario plane existed — still load (as chaos), with their
-digests unchanged.
+A malformed file — not JSON, another version or kind, a missing or
+mistyped field — raises :class:`ValueError` naming the problem.
 """
 
 from __future__ import annotations
@@ -25,15 +24,12 @@ ENVELOPE_KINDS = ("chaos", "workload")
 
 
 def envelope_kind(payload: Dict[str, Any]) -> str:
-    """The kind a parsed envelope payload declares ("chaos" for the
-    legacy v1 layout, which predates the discriminator)."""
+    """The kind a parsed envelope payload declares."""
     version = payload.get("version")
-    if version == 1:
-        return "chaos"
     if version != ENVELOPE_VERSION:
         raise ValueError(
             f"unsupported scenario version {version!r} "
-            f"(this build reads versions 1 and {ENVELOPE_VERSION})"
+            f"(this build reads version {ENVELOPE_VERSION})"
         )
     kind = payload.get("kind")
     if kind not in ENVELOPE_KINDS:

@@ -18,11 +18,10 @@ record-side of the record/replay round trip the determinism tests pin.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, Optional, Tuple
 
 from ..lab.runner import execute_point, run_sweep
-from ..lab.spec import canonical_json
+from ..lab.spec import digest
 from ..lab.store import ResultStore
 from ..lab.telemetry import ProgressFn
 from .catalog import Scenario
@@ -51,12 +50,12 @@ def run_scenario(
         scenario.spec, jobs=jobs, store=store, force=force, progress=progress
     )
     points = []
-    for (_spec, seed, digest), artifact in zip(sweep.points, sweep.artifacts):
+    for (_spec, seed, artifact_digest), artifact in zip(sweep.points, sweep.artifacts):
         failures = scenario.slo.evaluate(artifact)
         points.append(
             {
                 "seed": seed,
-                "artifact_digest": digest,
+                "artifact_digest": artifact_digest,
                 "metrics": scenario.slo.metrics(artifact),
                 "slo_failures": failures,
                 "pass": not failures,
@@ -70,9 +69,7 @@ def run_scenario(
         "points": points,
         "pass": all(p["pass"] for p in points),
     }
-    report["report_digest"] = hashlib.sha256(
-        canonical_json(report)
-    ).hexdigest()[:16]
+    report["report_digest"] = digest(report, 16)
     return report
 
 

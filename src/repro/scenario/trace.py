@@ -27,14 +27,13 @@ workload.
 from __future__ import annotations
 
 import gzip
-import hashlib
 import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..lab.spec import canonical_json
+from ..lab.spec import digest
 from ..workloads.replay import IoRecord, TraceFormatError
 
 #: Bump when the on-disk trace layout changes incompatibly.
@@ -143,7 +142,7 @@ class FleetTrace:
                 for stream, records in sorted(self.streams.items())
             },
         }
-        return hashlib.sha256(canonical_json(material)).hexdigest()[:16]
+        return digest(material, 16)
 
     # -- transforms ------------------------------------------------------
     def scaled(

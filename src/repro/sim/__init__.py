@@ -6,19 +6,10 @@ Public surface:
 * :class:`Process` / :func:`spawn` — generator-based cooperative processes;
 * :class:`Signal`, :class:`Delay`, :class:`Event` — coordination primitives;
 * :class:`RngRegistry` — deterministic named randomness streams;
-* hybrid fidelity — :class:`FidelityController`, :class:`FluidFlow`,
-  :class:`HybridRun` (see :mod:`repro.sim.fluid`);
 * time constants ``NS``, ``US``, ``MS``, ``SECOND`` and helpers.
 """
 
 from .engine import SimulationError, Simulator
-from .fluid import (
-    FidelityController,
-    FluidFlow,
-    HybridResult,
-    HybridRun,
-    LatencyReservoir,
-)
 from .events import (
     Delay,
     Event,
@@ -37,11 +28,6 @@ from .rng import RngRegistry, derive_seed
 __all__ = [
     "Simulator",
     "SimulationError",
-    "FidelityController",
-    "FluidFlow",
-    "HybridResult",
-    "HybridRun",
-    "LatencyReservoir",
     "Process",
     "ProcessFailed",
     "spawn",

@@ -5,24 +5,17 @@ Everything in the reproduction — links, switches, CPUs, SSDs, protocol
 stacks — is driven by callbacks scheduled on a single simulator instance,
 so a whole EBS deployment runs deterministically from one seed.
 
-The scheduler is pluggable (see :mod:`repro.sim.sched`): a calendar
-queue by default, a plain binary heap as the reference implementation.
-Both deliver events in identical ``(time, seq)`` order, so the choice is
-a pure throughput knob — artifacts are byte-identical either way.
+Events live in a calendar queue (:mod:`repro.sim.sched`) and fire in
+``(time, seq)`` order: by time, ties in scheduling order.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Optional
 
 from .events import Event, format_ns
 from .rng import RngRegistry
-from .sched import make_scheduler
-
-#: Environment override for the scheduler implementation (experiments /
-#: cross-implementation determinism checks): ``REPRO_SCHEDULER=heap``.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
+from .sched import CalendarScheduler
 
 
 class SimulationError(RuntimeError):
@@ -41,16 +34,17 @@ class Simulator:
     The simulator also hosts a registry of named deterministic RNG streams
     (see :class:`repro.sim.rng.RngRegistry`) so that components draw
     randomness from independent, reproducible streams.
+
+    ``scheduler`` substitutes another object with the
+    :class:`~repro.sim.sched.CalendarScheduler` interface; the tests use
+    it to run the kernel on a reference binary heap.
     """
 
-    def __init__(self, seed: int = 0, scheduler: Optional[str] = None):
+    def __init__(self, seed: int = 0, scheduler: Optional[Any] = None):
         self.now: int = 0
         self.seed = seed
         self.rng = RngRegistry(seed)
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV, "calendar")
-        self.scheduler_name = scheduler
-        self._sched = make_scheduler(scheduler)
+        self._sched = scheduler if scheduler is not None else CalendarScheduler()
         # Pre-bound push methods: schedule() runs a few hundred thousand
         # times per simulated second, so one attribute chain matters.
         self._push = self._sched.push
@@ -58,11 +52,8 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._stopped = False
-        #: Logical events processed.  Coalesced fast paths (e.g. a link's
-        #: combined serialize+deliver completion, see ``repro.net.link``)
-        #: credit the events they fold in via :meth:`credit_events`, so
-        #: this counter — and every artifact embedding it — is invariant
-        #: across fast-path and legacy event plumbing.
+        #: Events run so far.  A count of kernel work, not of simulated
+        #: behaviour: artifacts do not record it.
         self.events_processed = 0
 
     # ------------------------------------------------------------------
@@ -120,15 +111,6 @@ class Simulator:
         self._push(event)
         return event
 
-    def credit_events(self, count: int = 1) -> None:
-        """Account for logical events folded into a coalesced callback.
-
-        Fast paths that replace N legacy events with one physical event
-        call this with ``N - 1`` so ``events_processed`` stays identical
-        to the uncoalesced execution (artifacts embed the counter).
-        """
-        self.events_processed += count
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -151,8 +133,7 @@ class Simulator:
         ``until`` is an absolute time; the clock is advanced to ``until``
         even if the last event fires earlier (matching how a wall-clock
         experiment of fixed duration behaves).  Returns the number of
-        events processed by this call (physical events — coalesced
-        credits count only toward :attr:`events_processed`).
+        events processed by this call.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -198,7 +179,7 @@ class Simulator:
         ones scheduled *during* the window at exactly the horizon fire
         at the start of the next window — same outcome for every shard
         layout, which is the property the shard plane needs.  Returns
-        the number of physical events processed (the sentinel included).
+        the number of events processed (the sentinel included).
         """
         horizon_ns = int(horizon_ns)
         if horizon_ns < self.now:
@@ -228,5 +209,5 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Simulator now={format_ns(self.now)} pending={self.pending_events} "
-            f"processed={self.events_processed} sched={self.scheduler_name}>"
+            f"processed={self.events_processed}>"
         )

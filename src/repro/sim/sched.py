@@ -1,26 +1,19 @@
-"""Pluggable event schedulers for the simulation kernel.
+"""The event scheduler of the simulation kernel.
 
-Two implementations share one contract and — critically — one *ordering
-law*: events fire in ``(time, seq)`` order, where ``seq`` is the global
-creation sequence number.  Because both structures sort on exactly that
-key, the heap and the calendar queue are observably identical: the same
-workload pops the same events in the same order, so artifacts are
-byte-identical across implementations (pinned by
-``tests/test_scheduler_parity.py``).
+:class:`CalendarScheduler` is a calendar queue / hashed timer wheel: the
+time axis is cut into fixed-width buckets (``2**bucket_bits`` ns) held
+in a dict keyed by bucket index, with a small int-heap of active bucket
+indices.  Each bucket is itself a little ``(time, seq, event)`` heap.
+Most scheduling in this simulator is short-horizon (wire times, switch
+forwarding, CPU costs — nanoseconds to microseconds), so pushes land in
+the current or a nearby bucket and per-bucket heaps stay tiny; far-out
+timers (RTOs, probes) spread across sparse buckets at no cost because
+empty buckets simply do not exist.
 
-* :class:`HeapScheduler` — a single binary heap of ``(time, seq, event)``
-  tuples.  Tuple entries keep comparisons in C (no ``Event.__lt__``
-  dispatch per sift step).
-
-* :class:`CalendarScheduler` — a calendar queue / hashed timer wheel: the
-  time axis is cut into fixed-width buckets (``2**bucket_bits`` ns) held
-  in a dict keyed by bucket index, with a small int-heap of active bucket
-  indices.  Each bucket is itself a little ``(time, seq, event)`` heap.
-  Most scheduling in this simulator is short-horizon (wire times, switch
-  forwarding, CPU costs — nanoseconds to microseconds), so pushes land in
-  the current or a nearby bucket and per-bucket heaps stay tiny; far-out
-  timers (RTOs, probes) spread across sparse buckets at no cost because
-  empty buckets simply do not exist.
+The *ordering law*: events fire in ``(time, seq)`` order, where ``seq``
+is the global creation sequence number — exactly the order of a single
+binary heap.  ``tests/test_scheduler_parity.py`` pins that against a
+plain heap kept in the tests as the reference.
 
 Entries come in two shapes, distinguished by the third tuple slot:
 
@@ -34,17 +27,16 @@ Entries come in two shapes, distinguished by the third tuple slot:
   largest per-event constant.  Ordering is unaffected: ``seq`` is
   globally unique, so tuple comparison never reaches the third slot.
 
-Both schedulers keep **live bookkeeping** instead of scanning:
+The scheduler keeps **live bookkeeping** instead of scanning:
 
-* ``live`` — count of pending, not-cancelled events (``pending_events``
-  used to be an O(n) recount; ``peek_time`` used to *sort the whole
-  heap*);
+* ``live`` — count of pending, not-cancelled events (O(1)
+  ``pending_events``);
 * ``ghosts`` — cancelled events still buried in the structure (lazy
   deletion keeps :meth:`Event.cancel` O(1));
 * automatic **compaction**: when ghosts outnumber live events (and exceed
   a floor), the structure is rebuilt without them, so cancel-heavy
   workloads (timeout/retry paths re-arming RTOs per message) cannot grow
-  the heap without bound.
+  it without bound.
 """
 
 from __future__ import annotations
@@ -61,151 +53,15 @@ COMPACT_MIN_GHOSTS = 512
 DEFAULT_BUCKET_BITS = 13
 
 
-class HeapScheduler:
-    """Binary heap of ``(time, seq, event)`` tuples with lazy deletion."""
-
-    name = "heap"
-
-    __slots__ = ("_heap", "live", "ghosts", "compactions")
-
-    def __init__(self) -> None:
-        self._heap: list = []
-        self.live = 0
-        self.ghosts = 0
-        self.compactions = 0
-
-    # ------------------------------------------------------------------
-    def push(self, event: Event) -> None:
-        event._sched = self
-        heappush(self._heap, (event.time, event.seq, event))
-        self.live += 1
-
-    def push_fire(self, time: int, seq: int, fn, args) -> None:
-        """Queue an anonymous fire-and-forget entry (no Event object)."""
-        heappush(self._heap, (time, seq, None, fn, args))
-        self.live += 1
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next pending event, skipping ghosts.
-
-        Anonymous entries are materialized into an Event on the way out
-        (:meth:`Simulator.step` is the only pop-based driver; the hot
-        path is :meth:`drain`, which fires them without allocating).
-        """
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            event = entry[2]
-            if event is None:
-                self.live -= 1
-                return Event(entry[0], entry[1], entry[3], entry[4])
-            if event.cancelled:
-                self.ghosts -= 1
-                continue
-            event._sched = None
-            self.live -= 1
-            return event
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next pending event (purges ghost heads)."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event is not None and event.cancelled:
-                heappop(heap)
-                self.ghosts -= 1
-                continue
-            return entry[0]
-        return None
-
-    def raw_head_time(self) -> Optional[int]:
-        """Time of the head entry *including* cancelled ghosts.
-
-        The run loop's ``until`` check uses this (not :meth:`peek_time`)
-        so a cancelled timer at the head does not end a bounded run one
-        event early — matching the original single-heap engine, whose
-        ``until`` comparison read the raw heap head.
-        """
-        return self._heap[0][0] if self._heap else None
-
-    def drain(self, sim, until: Optional[int], max_events: Optional[int]) -> int:
-        """Inlined run loop (see :meth:`CalendarScheduler.drain`)."""
-        heap = self._heap
-        pop = heappop
-        processed = 0
-        while heap and not sim._stopped:
-            if until is not None and heap[0][0] > until:
-                break
-            if max_events is not None and processed >= max_events:
-                break
-            entry = None
-            while heap:
-                candidate = pop(heap)
-                event = candidate[2]
-                if event is not None and event.cancelled:
-                    self.ghosts -= 1
-                    continue
-                entry = candidate
-                break
-            if entry is None:
-                break
-            self.live -= 1
-            sim.now = entry[0]
-            sim.events_processed += 1
-            processed += 1
-            event = entry[2]
-            if event is None:
-                entry[3](*entry[4])
-            else:
-                event._sched = None
-                event.fn(*event.args)
-        return processed
-
-    # ------------------------------------------------------------------
-    def note_cancel(self) -> None:
-        """Called by :meth:`Event.cancel` for an event still queued here."""
-        self.live -= 1
-        self.ghosts += 1
-        if self.ghosts > COMPACT_MIN_GHOSTS and self.ghosts > self.live:
-            self.compact()
-
-    def compact(self) -> None:
-        """Rebuild the heap without cancelled ghosts.
-
-        In place: :meth:`drain` holds a reference to the list across
-        event callbacks (which may cancel enough to trigger compaction).
-        """
-        self._heap[:] = [
-            entry for entry in self._heap
-            if entry[2] is None or not entry[2].cancelled
-        ]
-        heapify(self._heap)
-        self.ghosts = 0
-        self.compactions += 1
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.live
-
-    @property
-    def storage_size(self) -> int:
-        """Entries physically held (live + ghosts) — bounded by compaction."""
-        return len(self._heap)
-
-
 class CalendarScheduler:
     """Calendar queue: dict of per-bucket heaps + int-heap of bucket ids.
 
-    Ordering matches :class:`HeapScheduler` exactly: bucket index is
+    Ordering matches a single binary heap exactly: bucket index is
     ``time >> bucket_bits``, so the minimum active bucket contains the
     globally minimum ``(time, seq)`` entry; within a bucket the little
     heap orders entries by that same key.  Same-timestamp FIFO therefore
     holds across bucket boundaries by construction.
     """
-
-    name = "calendar"
 
     __slots__ = ("bucket_bits", "_buckets", "_ids", "live", "ghosts", "compactions")
 
@@ -282,22 +138,15 @@ class CalendarScheduler:
             del buckets[idx]
         return None
 
-    def raw_head_time(self) -> Optional[int]:
-        """Head entry time including ghosts (see :class:`HeapScheduler`).
-
-        Active buckets are never empty, so the head of the minimum
-        bucket's little heap is the global minimum entry.
-        """
-        ids = self._ids
-        return self._buckets[ids[0]][0][0] if ids else None
-
     def drain(self, sim, until: Optional[int], max_events: Optional[int]) -> int:
         """The simulator's run loop, inlined into the data structure.
 
-        Semantically identical to repeated ``raw_head_time``/``pop`` (the
-        ``until`` check reads the raw head, ghosts are skipped
-        unconditionally once popping starts), but one Python frame per
-        event instead of three.  ``compact`` rebuilds in place, so the
+        Semantically identical to repeated :meth:`pop`, except that the
+        ``until`` check reads the *raw* head, ghosts included: a cancelled
+        timer at the head does not end a bounded run one event early,
+        matching the original single-heap engine.  Ghosts are skipped
+        unconditionally once popping starts.  One Python frame per event
+        instead of three.  ``compact`` rebuilds in place, so the
         local aliases below stay valid across event callbacks.
         """
         ids, buckets = self._ids, self._buckets
@@ -371,18 +220,3 @@ class CalendarScheduler:
     @property
     def storage_size(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
-
-
-SCHEDULERS = {
-    "heap": HeapScheduler,
-    "calendar": CalendarScheduler,
-}
-
-
-def make_scheduler(name: str):
-    try:
-        return SCHEDULERS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {name!r}; options: {sorted(SCHEDULERS)}"
-        ) from None

@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
 from repro.sim import MS, Simulator
-from repro.sim.sched import SCHEDULERS
+from repro.sim.sched import CalendarScheduler
 from repro.workloads import FioSpec, run_fio
+
+from kernel_oracles import HeapScheduler
 
 
 def run_deployment(stack: str, seed: int, drop_rate: float = 0.0,
-                   scheduler: str = None):
-    sim = Simulator(seed=seed, scheduler=scheduler) if scheduler else None
+                   scheduler=None):
+    sim = Simulator(seed=seed, scheduler=scheduler) if scheduler is not None else None
     dep = EbsDeployment(DeploymentSpec(stack=stack, seed=seed), sim=sim)
     vd = VirtualDisk(dep, "vd0", dep.compute_host_names()[0], 128 * 1024 * 1024)
     if drop_rate:
@@ -51,11 +53,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("stack", ["kernel", "luna", "solar"])
     def test_identical_across_scheduler_implementations(self, stack):
-        # The event queue is pluggable (repro.sim.sched); detailed-mode
-        # artifacts must be byte-identical under every implementation —
-        # same completions, bytes, latency samples, events_processed.
-        runs = [run_deployment(stack, seed=1234, scheduler=name)
-                for name in sorted(SCHEDULERS)]
+        # The calendar queue and the reference heap must give
+        # byte-identical runs — same completions, bytes, latency
+        # samples, events_processed.
+        runs = [run_deployment(stack, seed=1234, scheduler=cls())
+                for cls in (CalendarScheduler, HeapScheduler)]
         assert all(r == runs[0] for r in runs[1:])
 
     @given(st.integers(0, 2**32 - 1))

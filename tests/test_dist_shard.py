@@ -2,15 +2,12 @@
 
 The headline guarantee under test: a fleet's result digest is a pure
 function of its spec — byte-identical across shard counts 1/2/4, across
-in-process and multi-process execution, and across the link fast-path
-on/off switch.
+in-process and multi-process execution, and between the folded and the
+two-event link path.
 """
 
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -26,6 +23,8 @@ from repro.dist import (
 from repro.net.fabric import FabricBoundary, ShardMessage, message_sort_key
 from repro.sim import MS, Simulator
 from repro.sim.engine import SimulationError
+
+from kernel_oracles import two_event_links
 
 #: A fleet small enough for CI: 4 deployments, short runtime, trimmed
 #: drain window — still exercising every cross-shard event kind.
@@ -177,31 +176,15 @@ def test_digest_identical_under_multiprocess_pool():
 
 
 def test_digest_identical_with_link_fastpath_off():
-    """REPRO_LINK_FASTPATH=0 in the workers must not move the digest —
-    the fast path's byte-identity guarantee extends through the shard
-    plane's process boundary (the env var rides into spawn children)."""
+    """The two-event link path must not move the fleet digest or any
+    per-deployment artifact; only the run-level event count differs."""
     spec = small_fleet(deployments=2)
-    baseline = run_fleet(spec, shards=1).digest
-    env = dict(os.environ, REPRO_LINK_FASTPATH="0", PYTHONPATH="src")
-    code = (
-        "import dataclasses\n"
-        "from repro.dist import reference_fleet, run_fleet\n"
-        "from repro.sim import MS\n"
-        "spec = dataclasses.replace(\n"
-        "    reference_fleet(deployments=2, runtime_ns=3 * MS),\n"
-        "    drain_ns=3 * MS)\n"
-        "print(run_fleet(spec, shards=2).digest)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == baseline
+    folded = run_fleet(spec, shards=2, executor=SerialExecutor())
+    with two_event_links():
+        two_event = run_fleet(spec, shards=2, executor=SerialExecutor())
+    assert two_event.digest == folded.digest
+    assert two_event.artifacts == folded.artifacts
+    assert two_event.events_processed > folded.events_processed
 
 
 def test_dropped_messages_are_counted():

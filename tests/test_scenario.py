@@ -7,14 +7,16 @@ The headline invariants under test:
   number, and the digest is a pure function of the workload content
   (provenance excluded).
 * **Round-trip determinism** — record -> replay -> record is
-  byte-identical, per stack, with the link fast path on or off, and
-  the gated report digest matches between serial and pooled execution.
+  byte-identical, per stack, on the folded and the two-event link path,
+  and the gated report digest matches between serial and pooled
+  execution.
 * **Importers** normalize MSR/Alibaba rows to nanoseconds with
   deterministic downsampling; the sample corpora replay end to end on
   both LUNA and SOLAR.
 * **Catalog** scenarios (all six) pass their SLO gates.
-* **Envelope** v2 unifies chaos and workload scenarios; legacy v1 chaos
-  files still load and replay byte-identically.
+* **Envelope** v2 unifies chaos and workload scenarios; v1 files and
+  malformed payloads are rejected with a ``ValueError`` that names the
+  problem.
 * **Shard plane** trace fleets keep the digest-identical-across-shards
   guarantee, and empty ``trace_rows`` stay out of the fleet
   serialization so pre-existing fleet digests are pinned.
@@ -28,12 +30,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos.harness import replay_scenario
 from repro.chaos.scenario import ChaosScenario
 from repro.dist import FleetSpec, SerialExecutor, run_fleet
 from repro.dist.fleet import FleetDeployment
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
-from repro.lab.spec import canonical_json
+from repro.lab.spec import ExperimentSpec, canonical_json
 from repro.lab.store import ResultStore
 from repro.scenario import (
     CATALOG,
@@ -64,6 +65,8 @@ from repro.workloads.replay import (
     TraceRecorder,
     load_trace,
 )
+
+from kernel_oracles import two_event_links
 
 DATA_DIR = Path(__file__).parent / "data"
 CHAOS_DIR = Path(__file__).parent / "scenarios"
@@ -357,11 +360,10 @@ class TestRoundTrip:
         second.dump(b)
         assert a.getvalue() == b.getvalue()
 
-    def test_roundtrip_invariant_to_link_fastpath(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINK_FASTPATH", "0")
-        _src, slow_first, slow_second = roundtrip("solar")
+    def test_roundtrip_invariant_to_link_fastpath(self):
+        with two_event_links():
+            _src, slow_first, slow_second = roundtrip("solar")
         assert slow_first.digest == slow_second.digest
-        monkeypatch.setenv("REPRO_LINK_FASTPATH", "1")
         _src, fast_first, _ = roundtrip("solar")
         # Arrival times are submit-side, so the capture cannot depend on
         # how the link serializes completions.
@@ -615,21 +617,48 @@ class TestEnvelope:
             scenario = load_envelope(path)
             assert isinstance(scenario, ChaosScenario)
 
-    def test_v1_chaos_payload_loads_and_replays_identically(self):
+    def test_v1_chaos_payload_is_rejected(self, tmp_path):
         path = min(CHAOS_DIR.glob("*.json"))
-        v2_payload = json.loads(path.read_text())
-        v1_payload = {k: v for k, v in v2_payload.items() if k != "kind"}
+        v1_payload = {
+            k: v for k, v in json.loads(path.read_text()).items() if k != "kind"
+        }
         v1_payload["version"] = 1
-        old = ChaosScenario.from_dict(v1_payload)
-        new = ChaosScenario.from_dict(v2_payload)
-        assert old.digest == new.digest
-        old_report = json.dumps(replay_scenario(old), sort_keys=True)
-        new_report = json.dumps(replay_scenario(new), sort_keys=True)
-        assert old_report == new_report  # legacy files replay byte-identically
+        with pytest.raises(ValueError, match="version"):
+            ChaosScenario.from_dict(v1_payload)
+        v1_path = tmp_path / "v1.json"
+        v1_path.write_text(json.dumps(v1_payload))
+        with pytest.raises(ValueError, match="version"):
+            load_envelope(v1_path)
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"version": 2, "kind": "chaos"}, "name"),
+        ({"version": 2, "kind": "chaos", "name": "c", "config": {},
+          "actions": [{"args": {}}]}, "rule"),
+        ({"version": 2, "kind": "chaos", "name": "c", "config": [],
+          "actions": []}, "config"),
+        ({"version": 2, "kind": "workload", "name": "w", "spec": {}}, "workload"),
+        ({"version": 2, "kind": "workload", "name": "w"}, "spec"),
+        ({"version": 2, "kind": "workload", "name": "w",
+          "spec": ExperimentSpec().to_dict(), "slo": {"max_p42_us": 1}},
+         "max_p42_us"),
+        ({"version": 2, "kind": "workload", "name": "w",
+          "spec": {**ExperimentSpec().to_dict(), "vd_size_gb": 1}}, "vd_size_gb"),
+    ])
+    def test_malformed_envelope_raises_value_error_naming_field(
+        self, tmp_path, payload, field
+    ):
+        loader = ChaosScenario if payload["kind"] == "chaos" else Scenario
+        with pytest.raises(ValueError, match=field):
+            loader.from_dict(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=field):
+            load_envelope(path)
 
     def test_envelope_kind_dispatch_errors(self):
-        assert envelope_kind({"version": 1}) == "chaos"
         assert envelope_kind({"version": 2, "kind": "workload"}) == "workload"
+        with pytest.raises(ValueError, match="version"):
+            envelope_kind({"version": 1})
         with pytest.raises(ValueError, match="kind"):
             envelope_kind({"version": 2, "kind": "mystery"})
         with pytest.raises(ValueError, match="version"):

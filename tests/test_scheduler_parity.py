@@ -1,14 +1,16 @@
-"""Scheduler edge cases and heap-vs-calendar cross-implementation parity.
+"""Scheduler edge cases and calendar-vs-heap parity.
 
-The simulation kernel's scheduler is pluggable (``repro.sim.sched``): a
-calendar queue by default, a binary heap as the reference.  Both order
-events by the same ``(time, seq)`` law, so every observable — event
-order, ``events_processed``, artifacts — must be identical.  These tests
-pin that equivalence plus the edge cases where bucketing could plausibly
+The simulation kernel schedules on a calendar queue
+(``repro.sim.sched``); ``kernel_oracles.HeapScheduler`` is a plain
+binary heap kept as the reference.  Both order events by the same
+``(time, seq)`` law, so every observable — event order,
+``events_processed``, artifacts — must be identical.  These tests pin
+that equivalence plus the edge cases where bucketing could plausibly
 diverge from a single heap: same-timestamp FIFO across bucket
 boundaries, scheduling at ``now`` from an in-flight event, ``stop()``
 mid-bucket, and the lazy-deletion bookkeeping (bounded storage under
-cancel-heavy load).
+cancel-heavy load).  The folded link path is checked the same way
+against the two-event channel.
 """
 
 import hashlib
@@ -20,17 +22,21 @@ from repro.sim import MS, Simulator
 from repro.sim.sched import (
     COMPACT_MIN_GHOSTS,
     DEFAULT_BUCKET_BITS,
-    SCHEDULERS,
+    CalendarScheduler,
 )
 from repro.workloads import FioSpec, run_fio
 
+from kernel_oracles import HeapScheduler, two_event_links
+
+SCHEDULERS = {"calendar": CalendarScheduler, "heap": HeapScheduler}
 SCHEDULER_NAMES = sorted(SCHEDULERS)
 BUCKET_NS = 1 << DEFAULT_BUCKET_BITS
 
 
 @pytest.fixture(params=SCHEDULER_NAMES)
 def scheduler(request):
-    return request.param
+    """A fresh scheduler instance of each implementation."""
+    return SCHEDULERS[request.param]()
 
 
 class TestEdgeCases:
@@ -153,32 +159,32 @@ class TestBookkeeping:
 
 
 def _fio_fingerprint(scheduler_name):
-    sim = Simulator(seed=1234, scheduler=scheduler_name)
+    sim = Simulator(seed=1234, scheduler=SCHEDULERS[scheduler_name]())
     dep = EbsDeployment(DeploymentSpec(stack="solar", seed=1234), sim=sim)
     vd = VirtualDisk(dep, "vd0", dep.compute_host_names()[0], 64 * 1024 * 1024)
     spec = FioSpec(block_sizes=(4096,), iodepth=4, read_fraction=0.5, runtime_ns=2 * MS)
     result = run_fio(dep.sim, [vd], spec)["vd0"]
     digest = hashlib.sha256(repr(tuple(result.latency.samples)).encode()).hexdigest()
-    return (
-        result.completed,
-        result.bytes_moved,
-        digest,
-        dep.sim.events_processed,
-        dep.sim.now,
-    )
+    return {
+        "completed": result.completed,
+        "bytes_moved": result.bytes_moved,
+        "latency": digest,
+        "events_processed": dep.sim.events_processed,
+        "now": dep.sim.now,
+    }
 
 
 class TestLinkFastPathParity:
-    def test_fastpath_and_legacy_identical_artifacts(self, monkeypatch):
-        # The coalesced link path must be observably identical to the
-        # two-event path on a real deployment: same completions, same
-        # latency samples, same events_processed (via parity credits).
-        from repro.net.link import FASTPATH_ENV
-
-        monkeypatch.setenv(FASTPATH_ENV, "0")
-        legacy = _fio_fingerprint("calendar")
-        monkeypatch.setenv(FASTPATH_ENV, "1")
+    def test_fastpath_and_legacy_identical_artifacts(self):
+        # The folded link path must be observably identical to the
+        # two-event channel on a real deployment: same completions, same
+        # latency samples, same final clock.  Only the event count
+        # differs — the two-event path runs one more event per
+        # uncontended frame.
+        with two_event_links():
+            legacy = _fio_fingerprint("calendar")
         fast = _fio_fingerprint("calendar")
+        assert fast.pop("events_processed") < legacy.pop("events_processed")
         assert fast == legacy
 
 
@@ -197,7 +203,7 @@ class TestCrossImplementationDeterminism:
         import random
 
         def trace(name):
-            sim = Simulator(scheduler=name)
+            sim = Simulator(scheduler=SCHEDULERS[name]())
             rng = random.Random(9)
             seen = []
             live = []
