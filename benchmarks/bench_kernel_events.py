@@ -1,22 +1,25 @@
-"""Event-kernel perf baseline: events/sec on a fixed reference workload.
+"""Event-kernel perf baseline: I/Os per wall second on a fixed workload.
 
-ROADMAP item 1 notes the simulator has no recorded performance baseline,
-so optimization PRs have nothing to demonstrate a win against.  This
-bench runs one fixed, deterministic workload — a SOLAR deployment under
-closed-loop fio for 200 simulated milliseconds — and records how fast the
-event kernel chewed through it: total events, wall-clock seconds, and
-events per wall-second.  The numbers land in two places:
+This bench runs one fixed, deterministic workload — a SOLAR deployment
+under closed-loop fio for 200 simulated milliseconds — and records how
+fast the simulator chewed through it: completed I/Os, a sha256
+fingerprint of every I/O's latency in completion order, events run,
+wall-clock seconds, and I/Os and events per wall second.  The numbers
+land in two places:
 
 * ``out/BENCH_kernel.json`` — the latest run (untracked scratch);
 * ``BENCH_kernel_history.jsonl`` — the committed trajectory, one JSON
   line appended per official run, never overwritten.  This is what
   ``check_kernel_regression.py`` (and the CI smoke step) compares fresh
-  runs against: a >20% events/sec drop versus the last committed entry
-  fails the build.
+  runs against: a >20% drop in I/Os per wall second (median of 3 runs)
+  versus the last committed entry fails the build.
 
-The *simulated* side is asserted exactly (event count and completed I/Os
-are pure functions of the workload); the *wall-clock* side is recorded,
-not asserted — machine speed is not a correctness property.
+The *simulated* side is asserted exactly (completed I/Os and the
+fingerprint are pure functions of the workload).  The event count is
+recorded but not gated: it measures how the kernel schedules the work,
+and a faster kernel may legitimately run fewer events.  The
+*wall-clock* side is recorded, not asserted — machine speed is not a
+correctness property.
 
 To profile the kernel on this exact workload, run this file as a script
 under cProfile (see :func:`common.profile_once` for the in-process
@@ -28,23 +31,27 @@ variant)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 
-from common import OUT_DIR, format_table, once, save_output
+from common import OUT_DIR, format_table, median_run, once, save_output
 
 from repro.ebs import DeploymentSpec, EbsDeployment, VirtualDisk
 from repro.sim import MS
 from repro.workloads import FioJob, FioSpec
 
-#: Bump when the reference workload changes — baselines only compare
-#: within one workload version.
-WORKLOAD_VERSION = 1
+#: Bump when the reference workload or what its entries record changes —
+#: baselines only compare within one workload version.
+WORKLOAD_VERSION = 2
 RUNTIME_NS = 200 * MS
 SEED = 42
 
-#: Committed events/sec trajectory (append-mode: one JSON line per run).
+#: Simulated outputs: identical in every run of one workload version.
+DETERMINISTIC = ("sim_ns", "ios_completed", "fingerprint", "events")
+
+#: Committed trajectory (append-mode: one JSON line per measurement).
 HISTORY_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_kernel_history.jsonl"
 )
@@ -78,14 +85,23 @@ def run_reference_workload() -> dict:
         "sim_ns": dep.sim.now,
         "events": dep.sim.events_processed,
         "ios_completed": job.completed,
+        "fingerprint": hashlib.sha256(
+            repr(tuple(job.latency.samples)).encode()
+        ).hexdigest(),
         "wall_s": round(wall_s, 4),
+        "ios_per_sec": round(job.completed / wall_s, 1),
         "events_per_sec": round(dep.sim.events_processed / wall_s, 1),
         "sim_time_ratio": round((dep.sim.now / 1e9) / wall_s, 4),
     }
 
 
+def measure_reference_workload() -> dict:
+    """The median of :data:`common.MEDIAN_RUNS` runs, by wall time."""
+    return median_run(run_reference_workload, DETERMINISTIC)
+
+
 def run_baseline() -> str:
-    result = run_reference_workload()
+    result = measure_reference_workload()
 
     # The simulated side is deterministic; a drift here means the
     # reference workload changed and WORKLOAD_VERSION must bump.
@@ -108,8 +124,10 @@ def run_baseline() -> str:
         [
             ["events", result["events"]],
             ["ios completed", result["ios_completed"]],
+            ["fingerprint", result["fingerprint"][:16]],
             ["simulated", f"{result['sim_ns'] / MS:.0f}ms"],
             ["wall clock", f"{result['wall_s']:.2f}s"],
+            ["I/Os/sec", f"{result['ios_per_sec']:,.0f}"],
             ["events/sec", f"{result['events_per_sec']:,.0f}"],
             ["sim-time ratio", f"{result['sim_time_ratio']:.4f}x"],
         ],

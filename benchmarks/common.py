@@ -16,6 +16,7 @@ function of its arguments.
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -110,6 +111,30 @@ def run_single_ios(
     dep.run()
     assert len(done) == count, f"only {len(done)}/{count} I/Os completed"
     return [io.trace for io in done]
+
+
+#: Timed runs per measurement in the perf gates and their baselines.
+MEDIAN_RUNS = 3
+
+
+def median_run(probe: Callable[[], dict], deterministic: Sequence[str],
+               runs: int = MEDIAN_RUNS) -> dict:
+    """Run ``probe`` ``runs`` times and return the run with the median
+    ``wall_s``, plus every run's ``wall_s`` as ``wall_s_runs``.
+
+    The ``deterministic`` keys are simulated outputs: every run must
+    produce the same values, or the probe is not a pure function of its
+    workload and its timings compare nothing.
+    """
+    results = [probe() for _ in range(runs)]
+    for key in deterministic:
+        values = {json.dumps(r[key], sort_keys=True) for r in results}
+        if len(values) != 1:
+            raise AssertionError(f"{key!r} differs between identical runs: {values}")
+    ordered = sorted(results, key=lambda r: r["wall_s"])
+    median = dict(ordered[len(ordered) // 2])
+    median["wall_s_runs"] = [r["wall_s"] for r in results]
+    return median
 
 
 def once(benchmark, fn: Callable, *args, **kwargs):

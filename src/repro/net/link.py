@@ -9,36 +9,41 @@ A :class:`Link` is a full-duplex cable built from two independent
   the line is busy.
 
 Receivers are any object with ``receive(packet, ingress)`` where ``ingress``
-is the channel the packet arrived on.
+is the channel the packet arrived on, and optionally ``pipeline_ns``
+(default 0): how long it holds a frame before acting on it.
 
 Event plumbing
 --------------
 
-A frame crossing a channel is serialized from ``start`` to
-``t_f = start + wire`` and delivered at ``t_d = t_f + propagation``.
-On an uncontended line nothing observes the instant ``t_f``, so the
-channel schedules one delivery event at ``t_d`` and settles the tx
-statistics lazily (they are re-derived on read for any observer that
-looks between ``t_f`` and ``t_d``).  When the line *is* contended
-(another frame is queued behind the one in flight), a finish event is
-materialized at exactly ``t_f`` so the next serialization starts on
-time.  ``tests/kernel_oracles.py`` keeps the plain two-event channel
-(finish event, then delivery event, for every frame) that the tests
-compare this against.
+A frame is serialized until ``t_f = start + wire``, arrives at
+``t_a = t_f + propagation`` and leaves the receiver's pipeline at
+``t_a + pipeline_ns``.  That instant is its one kernel event, and the
+in-flight record *is* that event: ``receive`` runs then, and a switch
+forwards from inside it, so each fabric hop costs one event.  The
+line's up/down state is judged as of ``t_f`` and ``t_a`` from a
+transition log kept while frames are in flight.  Only when a frame
+queues behind the one on the wire is a finish event materialized at
+``t_f``, so the next serialization starts on time.
+
+Tx statistics are O(1): a frame counts from the start of its
+serialization, and as frames on one channel serialize one after
+another, only the tail frame can still be on the wire; reads subtract
+it until ``t_f``.  ``tests/kernel_oracles.py`` keeps the two-event
+channel and the per-hop switch that the tests compare this against.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..profiles import bytes_time_ns
 from ..sim.engine import Simulator
+from ..sim.events import Event
 from .packet import Packet
 from .queue import DropTailQueue
 
 #: Monotonic generation counter for link-state-derived caches (switch
-#: route candidates, endpoint live-uplink lists).  Bumped on every
+#: egress choices, endpoint live-uplink lists).  Bumped on every
 #: channel up/down transition and on (re)wiring; caches stamp the value
 #: they were built at and rebuild when it moved.  A single process-wide
 #: counter over-invalidates across simulators, which is harmless — the
@@ -52,27 +57,24 @@ class Receiver(Protocol):
     def receive(self, packet: Packet, ingress: "Channel") -> None: ...
 
 
-class _InFlight:
-    """A frame between serialization start and delivery.
+class _InFlight(Event):
+    """A frame from serialization start to the end of the receiver's
+    pipeline, and the event that delivers it.  ``materialized_ns``: when
+    a finish event at ``finish_ns`` was scheduled (else None)."""
 
-    ``materialized`` — a real finish event exists at ``finish_ns``
-    (scheduled because another frame queued up behind this one, or the
-    line was already contended when it started).  ``up_at_finish`` is
-    recorded by that event; un-materialized frames reconstruct the
-    channel state at ``finish_ns`` from the up/down transition log.
-    """
+    __slots__ = ("packet", "finish_ns", "materialized_ns", "finished")
 
-    __slots__ = (
-        "packet", "finish_ns", "materialized", "finished", "up_at_finish", "combined",
-    )
-
-    def __init__(self, packet: Packet, finish_ns: int):
+    def __init__(self, time: int, seq: int, fn, packet: Packet, finish_ns: int):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = (self,)
+        self.cancelled = False
+        self._sched = None
         self.packet = packet
         self.finish_ns = finish_ns
-        self.materialized = False
+        self.materialized_ns: Optional[int] = None
         self.finished = False
-        self.up_at_finish = True
-        self.combined = None
 
 
 class Channel:
@@ -95,6 +97,11 @@ class Channel:
         self.dst = dst
         self.gbps = gbps
         self.propagation_ns = propagation_ns
+        #: The receiver's pipeline: delivery runs this long after arrival.
+        self._pipeline_ns = getattr(dst, "pipeline_ns", 0)
+        self._hold_ns = propagation_ns + self._pipeline_ns
+        #: frame size -> wire time at this channel's rate.
+        self._wire_ns: Dict[int, int] = {}
         if priority:
             from .queue import PriorityQueue
 
@@ -102,39 +109,35 @@ class Channel:
         else:
             self.queue = DropTailQueue(queue_capacity_bytes, name=f"{name}.q")
         self._up = True
+        #: Frames (bytes) that started serializing, the tail included.
         self._tx_packets = 0
         self._tx_bytes = 0
-        #: Frames serialized (logically) but with stats not yet settled.
-        self._pending: "deque[_InFlight]" = deque()
-        #: The frame currently on the wire (the busy test).
+        #: The frame that started serializing last (the busy test).
         self._tail: Optional[_InFlight] = None
-        #: Combined events outstanding; the transition log lives while > 0.
+        #: Frames in flight; the transition log lives while > 0.
         self._outstanding = 0
         #: (time, up) transitions while frames are in flight, so a
-        #: combined event can evaluate "was the line up at my t_f?".
+        #: delivery can evaluate "was the line up at my t_f and t_a?".
         self._up_log: List[Tuple[int, bool]] = []
         #: tx_bytes at the previous INT stamp, for utilization hints.
         self.tx_bytes_window_start = 0
         self.window_start_ns = 0
 
     # ------------------------------------------------------------------
-    # Lazily settled tx statistics
+    # Tx statistics: everything started, less the tail while on the wire
     # ------------------------------------------------------------------
-    def _settle(self, now: int) -> None:
-        pending = self._pending
-        while pending and pending[0].finish_ns <= now:
-            rec = pending.popleft()
-            self._tx_packets += 1
-            self._tx_bytes += rec.packet.size_bytes
-
     @property
     def tx_packets(self) -> int:
-        self._settle(self.sim.now)
+        tail = self._tail
+        if tail is not None and tail.finish_ns > self.sim.now:
+            return self._tx_packets - 1
         return self._tx_packets
 
     @property
     def tx_bytes(self) -> int:
-        self._settle(self.sim.now)
+        tail = self._tail
+        if tail is not None and tail.finish_ns > self.sim.now:
+            return self._tx_bytes - tail.packet.size_bytes
         return self._tx_bytes
 
     # ------------------------------------------------------------------
@@ -145,9 +148,7 @@ class Channel:
         the sender has no signal other than missing ACKs, matching how a
         real fabric fails (§3.3).
         """
-        if not self.up:
-            return False
-        if not self.queue.offer(packet):
+        if not self._up:
             return False
         tail = self._tail
         # Busy iff the tail frame is still serializing.  The tie case
@@ -156,50 +157,74 @@ class Channel:
         # would start an overlapping serialization.
         if tail is not None and (
             tail.finish_ns > self.sim.now
-            or (tail.materialized and not tail.finished)
+            or (tail.materialized_ns is not None and not tail.finished)
         ):
+            if not self.queue.offer(packet):
+                return False
             # Line busy: the new frame starts when the current one
             # finishes, so that instant must exist as a real event.
-            if not tail.materialized:
-                tail.materialized = True
+            if tail.materialized_ns is None:
+                tail.materialized_ns = self.sim.now
                 self.sim.schedule_at_fire(tail.finish_ns, self._finish_fast, tail)
             return True
-        # Line idle (hence the queue was empty): serialize immediately.
-        self._begin(self.queue.poll())
+        # Line idle (hence the queue is empty): serialize immediately.
+        if not self.queue.admit(packet):
+            return False
+        self._begin(packet)
         return True
 
-    def _begin(self, packet: Packet) -> None:
-        wire_ns = bytes_time_ns(packet.size_bytes, self.gbps)
-        rec = _InFlight(packet, self.sim.now + wire_ns)
-        rec.combined = self.sim.schedule(
-            wire_ns + self.propagation_ns, self._deliver_fast, rec
+    def _begin(self, packet: Packet) -> _InFlight:
+        sim = self.sim
+        size = packet.size_bytes
+        wire_ns = self._wire_ns.get(size)
+        if wire_ns is None:
+            wire_ns = self._wire_ns[size] = bytes_time_ns(size, self.gbps)
+        finish_ns = sim.now + wire_ns
+        # Pushed the way Simulator.schedule pushes an Event, without
+        # allocating a second object for it.
+        rec = _InFlight(
+            finish_ns + self._hold_ns, sim._seq, self._deliver_fast, packet, finish_ns
         )
+        sim._seq += 1
+        sim._push(rec)
         self._tail = rec
-        self._pending.append(rec)
         self._outstanding += 1
-        if len(self.queue):
-            rec.materialized = True
-            self.sim.schedule_fire(wire_ns, self._finish_fast, rec)
+        self._tx_packets += 1
+        self._tx_bytes += size
+        return rec
 
     def _finish_fast(self, rec: _InFlight) -> None:
         # Fires at rec.finish_ns, only for materialized (contended)
-        # frames.
+        # frames.  A forward may have run it already at this instant
+        # (see Switch._forward); then there is nothing left to do.
+        if rec.finished:
+            return
         rec.finished = True
-        rec.up_at_finish = self.up
-        if not self.up:
-            rec.combined.cancel()
+        if not self._up:
+            rec.cancel()
+            rec.args = ()
             self._retire(rec)
         packet = self.queue.poll()
         if packet is not None:
-            self._begin(packet)
+            rec = self._begin(packet)
+            if len(self.queue):
+                rec.materialized_ns = self.sim.now
+                self.sim.schedule_at_fire(rec.finish_ns, self._finish_fast, rec)
 
     def _deliver_fast(self, rec: _InFlight) -> None:
-        if rec.materialized:
-            up_at_finish = rec.up_at_finish
+        # Break rec -> args -> rec so reference counting frees the record.
+        rec.args = ()
+        if self._up_log:
+            # A materialized frame reaching here was up at its finish
+            # (a down line cancels the delivery there).
+            up = (rec.materialized_ns is not None or self._up_at(rec.finish_ns)) and (
+                self._up_at(self.sim.now - self._pipeline_ns)
+                if self._pipeline_ns else self._up
+            )
         else:
-            up_at_finish = self._up_at(rec.finish_ns)
+            up = self._up
         self._retire(rec)
-        if up_at_finish and self.up:
+        if up:
             self.dst.receive(rec.packet, self)
 
     def _up_at(self, time_ns: int) -> bool:
@@ -215,12 +240,6 @@ class Channel:
             if self._up_log:
                 self._up_log.clear()
             self._tail = None
-            # Everything in flight has been delivered, so every pending
-            # stats record has finish_ns <= now: settle them all, keeping
-            # ``_pending`` bounded even if the tx counters of this channel
-            # are never read (only reads settle otherwise).
-            if self._pending:
-                self._settle(self.sim.now)
         elif self._tail is rec:
             self._tail = None
 

@@ -50,6 +50,17 @@ class DropTailQueue:
             self.peak_bytes = self.bytes
         return True
 
+    def admit(self, packet: Packet) -> bool:
+        """``offer`` then ``poll`` of one packet on an empty queue, no deque trip."""
+        size = self.bytes + packet.size_bytes
+        if size > self.capacity_bytes:
+            self.dropped += 1
+            return False
+        self.enqueued += 1
+        if size > self.peak_bytes:
+            self.peak_bytes = size
+        return True
+
     def poll(self) -> Optional[Packet]:
         """Dequeue the head packet, or None when empty."""
         if not self._items:
@@ -81,7 +92,7 @@ class PriorityQueue:
     class has half the port's byte budget, so a misbehaving class cannot
     starve the other of *buffer* — only of service order.
 
-    Drop-in compatible with :class:`DropTailQueue` (same offer/poll/clear
+    Drop-in compatible with :class:`DropTailQueue` (same offer/admit/poll/clear
     surface, aggregate statistics).
     """
 
@@ -101,6 +112,9 @@ class PriorityQueue:
 
     def offer(self, packet: Packet) -> bool:
         return self._class_of(packet).offer(packet)
+
+    def admit(self, packet: Packet) -> bool:
+        return self._class_of(packet).admit(packet)
 
     def poll(self) -> Optional[Packet]:
         packet = self.high.poll()

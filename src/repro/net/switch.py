@@ -12,21 +12,48 @@ Failure modes (the Table 2 / Figure 8 scenarios):
   subset of traffic is hard to detect and mitigate via network
   operations", §4.7);
 * **reboot**: fail-stop for a duration, then recovery.
+
+A frame spends ``pipeline_ns`` (``switch_forward_ns``) inside the
+switch.  The ingress channel delivers it when that pipeline ends, and
+:meth:`Switch.receive` admits it *as of its arrival* (up, blackhole,
+drop-rate draw, ttl; state changes made meanwhile are logged) and
+forwards it in the same call: one kernel event per hop.  So
+``rx_packets`` and the ``dropped_*`` counters are booked when the
+pipeline ends; nothing in ``src/`` reads them mid-run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..profiles import NetworkProfile
 from ..sim.engine import Simulator
 from .ecmp import flow_hash, pick
 from .link import LINK_STATE_EPOCH, Channel
-from .packet import IntRecord, Packet
+from .packet import FiveTuple, IntRecord, Packet
+
+#: Flows whose egress one switch remembers before it starts over.
+EGRESS_CACHE_FLOWS = 4096
+
+
+def _admission_field(index: int) -> property:
+    """One field of the admission state.  Frames already inside the
+    pipeline must not see it change: every write logs the old state."""
+
+    def set_field(self: "Switch", value) -> None:
+        self._log_state()
+        self._admission = self._admission[:index] + (value,) + self._admission[index + 1:]
+
+    return property(lambda self: self._admission[index], set_field)
 
 
 class Switch:
     """A single switch; forwarding policy is delegated to the topology."""
+
+    up = _admission_field(0)
+    blackhole_fraction = _admission_field(1)
+    blackhole_salt = _admission_field(2)
+    drop_rate = _admission_field(3)
 
     def __init__(
         self,
@@ -40,18 +67,22 @@ class Switch:
         self.name = name
         self.tier = tier
         self.profile = profile
+        #: Arrival to forward; ingress channels deliver this much later.
+        self.pipeline_ns = profile.switch_forward_ns
         #: neighbor name -> egress channel toward that neighbor.
         self.ports: Dict[str, Channel] = {}
         self._next_hops = next_hops
-        self.up = True
-        self.blackhole_fraction = 0.0
-        self.blackhole_salt = ""
-        self.drop_rate = 0.0
+        #: (up, blackhole fraction, blackhole salt, drop rate).
+        self._admission = (True, 0.0, "", 0.0)
+        #: (time, admission state before that time), for frames that
+        #: arrived before a change and are still inside the pipeline.
+        self._state_log: List[Tuple[int, tuple]] = []
         self._drop_rng = sim.rng.stream(f"switch/{name}/drop")
-        #: dst -> (epoch, up-filtered candidate names); rebuilt when any
-        #: link state changes.  Routing is a pure function of (switch,
-        #: dst, link state), so this is exact, not approximate.
-        self._route_cache: Dict[str, tuple] = {}
+        #: flow -> egress channel, rebuilt when any link state changes.
+        #: Routing is a pure function of (switch, dst, link state) and
+        #: ECMP hashes the flow, so this is exact, not approximate.
+        self._egress: Dict[FiveTuple, Channel] = {}
+        self._egress_epoch = -1
         self.rx_packets = 0
         self.forwarded = 0
         self.dropped_no_route = 0
@@ -70,11 +101,11 @@ class Switch:
         """Install the routing function.
 
         ``fn`` must depend only on the switch, ``packet.dst``, and
-        current link state — its results are cached per destination and
-        invalidated on link-state changes (see ``_route_cache``).
+        current link state — its results are cached per flow and
+        invalidated on link-state changes (see ``_egress``).
         """
         self._next_hops = fn
-        self._route_cache.clear()
+        self._egress.clear()
 
     # ------------------------------------------------------------------
     # Failure controls
@@ -101,41 +132,64 @@ class Switch:
         self.set_up(False)
         self.sim.schedule(downtime_ns, self.set_up, True)
 
-    def _blackholes(self, packet: Packet) -> bool:
-        if self.blackhole_fraction <= 0.0:
+    def _blackholes(self, packet: Packet, state: Optional[tuple] = None) -> bool:
+        _, fraction, salt, _ = state or self._admission
+        if fraction <= 0.0:
             return False
-        h = flow_hash(packet.flow, f"{self.name}|{self.blackhole_salt}")
-        return (h / 0xFFFFFFFF) < self.blackhole_fraction
+        h = flow_hash(packet.flow, f"{self.name}|{salt}")
+        return (h / 0xFFFFFFFF) < fraction
+
+    def _state_at(self, arrival_ns: int) -> tuple:
+        """The admission state a frame that arrived at ``arrival_ns``
+        sees.  A change at time t applies to frames arriving at t.
+        Arrivals only move forward, so older entries are dropped."""
+        log = self._state_log
+        while log and log[0][0] <= arrival_ns:
+            del log[0]
+        return log[0][1] if log else self._admission
+
+    def _log_state(self) -> None:
+        self._state_at(self.sim.now - self.pipeline_ns)  # prunes the log
+        self._state_log.append((self.sim.now, self._admission))
 
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, ingress: Channel) -> None:
+        """The end of ``packet``'s pipeline: admit as of arrival, forward."""
         self.rx_packets += 1
-        if not self.up:
+        state = (
+            self._state_at(self.sim.now - self.pipeline_ns)
+            if self._state_log else self._admission
+        )
+        up, fraction, _, rate = state
+        if not up:
             self.dropped_down += 1
             return
-        if self._blackholes(packet):
+        if fraction > 0.0 and self._blackholes(packet, state):
             self.dropped_blackhole += 1
             return
-        if self.drop_rate > 0.0 and self._drop_rng.random() < self.drop_rate:
+        if rate > 0.0 and self._drop_rng.random() < rate:
             self.dropped_blackhole += 1
             return
         if packet.ttl <= 0:
             self.dropped_ttl += 1
             return
         packet.ttl -= 1
-        self.sim.schedule_fire(self.profile.switch_forward_ns, self._forward, packet)
+        self._forward(packet)
 
     def _forward(self, packet: Packet) -> None:
-        if not self.up:
+        if not self._admission[0]:
             self.dropped_down += 1
             return
+        flow = packet.flow
+        cache = self._egress
         epoch = LINK_STATE_EPOCH[0]
-        cached = self._route_cache.get(packet.dst)
-        if cached is not None and cached[0] == epoch:
-            candidates = cached[1]
-        else:
+        if self._egress_epoch != epoch:
+            cache.clear()
+            self._egress_epoch = epoch
+        egress = cache.get(flow)
+        if egress is None:
             if self._next_hops is None:
                 raise RuntimeError(f"switch {self.name} has no routing function")
             candidates = [
@@ -143,11 +197,20 @@ class Switch:
                 for name in self._next_hops(self, packet)
                 if name in self.ports and self.ports[name].up
             ]
-            self._route_cache[packet.dst] = (epoch, candidates)
-        if not candidates:
-            self.dropped_no_route += 1
-            return
-        egress = self.ports[pick(packet.flow, candidates, salt=self.name)]
+            if not candidates:
+                self.dropped_no_route += 1
+                return
+            if len(cache) >= EGRESS_CACHE_FLOWS:
+                cache.clear()
+            egress = cache[flow] = self.ports[pick(flow, candidates, salt=self.name)]
+        tail = egress._tail
+        now = self.sim.now
+        # A finish due now that was scheduled before this packet arrived
+        # runs first, as it would before a forward scheduled at arrival.
+        if (tail is not None and tail.finish_ns == now and not tail.finished
+                and tail.materialized_ns is not None
+                and tail.materialized_ns < now - self.pipeline_ns):
+            egress._finish_fast(tail)
         self._stamp_int(packet, egress)
         self.forwarded += 1
         egress.send(packet)
@@ -155,13 +218,7 @@ class Switch:
     def _stamp_int(self, packet: Packet, egress: Channel) -> None:
         """Append an HPCC-style telemetry record (§4.8 per-packet INT)."""
         packet.int_records.append(
-            IntRecord(
-                switch=self.name,
-                timestamp_ns=self.sim.now,
-                queue_bytes=egress.queue.bytes,
-                tx_bytes=egress.tx_bytes,
-                link_gbps=egress.gbps,
-            )
+            IntRecord(self.name, self.sim.now, egress.queue.bytes, egress.tx_bytes, egress.gbps)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,17 +1,21 @@
 """Reference implementations the kernel is checked against.
 
-The simulator ships one scheduler (a calendar queue) and one link path
-(a channel that folds an uncontended frame's serialization finish into
-its delivery event).  Their plain counterparts live here, so the tests
-can show that the optimised kernel does exactly what the obvious one
-does:
+The simulator ships one scheduler (a calendar queue), one link path (a
+channel that folds an uncontended frame's serialization finish into its
+delivery event) and one switch path (the delivery event is the end of
+the switch pipeline, and the switch forwards from inside it).  Their
+plain counterparts live here, so the tests can show that the optimised
+kernel does exactly what the obvious one does:
 
 * :class:`HeapScheduler` — a single binary heap of ``(time, seq, ...)``
   tuples, passed to ``Simulator(scheduler=HeapScheduler())``;
 * :func:`two_event_links` — patches ``Channel.send`` so that every
-  frame costs a serialization-finish event and a delivery event.
+  frame costs a serialization-finish event and a delivery event;
+* :func:`per_hop_switches` — patches ``Switch`` so that a frame is
+  received at arrival and forwarded from a second event one
+  ``switch_forward_ns`` later, with no egress or route caching.
 
-The two-event path runs more events than the folded one, so
+The oracles run more events than the folded paths, so
 ``events_processed`` is the one observable that differs; everything
 the simulation produces must not.
 """
@@ -22,8 +26,10 @@ from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
+from repro.net.ecmp import pick
 from repro.net.link import Channel
 from repro.net.packet import Packet
+from repro.net.switch import Switch
 from repro.profiles import bytes_time_ns
 from repro.sim.events import Event
 from repro.sim.sched import COMPACT_MIN_GHOSTS
@@ -157,8 +163,14 @@ def _finish_serialize(channel: Channel, packet: Packet) -> None:
 
 
 def _deliver(channel: Channel, packet: Packet) -> None:
+    # The line is judged at arrival; a receiver with a pipeline (a
+    # switch) acts on the frame when that pipeline ends.
     if channel.up:
-        channel.dst.receive(packet, channel)
+        pipeline_ns = getattr(channel.dst, "pipeline_ns", 0)
+        if pipeline_ns:
+            channel.sim.schedule(pipeline_ns, channel.dst.receive, packet, channel)
+        else:
+            channel.dst.receive(packet, channel)
 
 
 @contextmanager
@@ -172,3 +184,66 @@ def two_event_links():
         yield
     finally:
         Channel.send = original
+
+
+# ----------------------------------------------------------------------
+# The per-hop switch
+# ----------------------------------------------------------------------
+def per_hop_receive(switch: Switch, packet: Packet, ingress: Channel) -> None:
+    """``Switch.receive`` at arrival: admit now, forward from an event
+    ``switch_forward_ns`` later."""
+    switch.rx_packets += 1
+    if not switch.up:
+        switch.dropped_down += 1
+        return
+    if switch._blackholes(packet):
+        switch.dropped_blackhole += 1
+        return
+    if switch.drop_rate > 0.0 and switch._drop_rng.random() < switch.drop_rate:
+        switch.dropped_blackhole += 1
+        return
+    if packet.ttl <= 0:
+        switch.dropped_ttl += 1
+        return
+    packet.ttl -= 1
+    switch.sim.schedule_fire(switch.profile.switch_forward_ns, switch._forward, packet)
+
+
+def per_hop_forward(switch: Switch, packet: Packet) -> None:
+    """Route from scratch, stamp INT and send, with no caching."""
+    if not switch.up:
+        switch.dropped_down += 1
+        return
+    candidates = [
+        name
+        for name in switch._next_hops(switch, packet)
+        if name in switch.ports and switch.ports[name].up
+    ]
+    if not candidates:
+        switch.dropped_no_route += 1
+        return
+    egress = switch.ports[pick(packet.flow, candidates, salt=switch.name)]
+    switch._stamp_int(packet, egress)
+    switch.forwarded += 1
+    egress.send(packet)
+
+
+@contextmanager
+def per_hop_switches():
+    """Run every switch built inside the block on the per-hop path:
+    channels deliver to it at arrival (``pipeline_ns`` 0) and the
+    forward is its own event.  Build the deployment inside the block:
+    channels read ``pipeline_ns`` at construction."""
+    original = Switch.__init__, Switch.receive, Switch._forward
+
+    def init(switch, *args, **kwargs):
+        original[0](switch, *args, **kwargs)
+        switch.pipeline_ns = 0
+
+    Switch.__init__, Switch.receive, Switch._forward = (
+        init, per_hop_receive, per_hop_forward,
+    )
+    try:
+        yield
+    finally:
+        Switch.__init__, Switch.receive, Switch._forward = original

@@ -14,7 +14,13 @@ sys.path.insert(
     0, os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "benchmarks"))
 )
 
-from common import fanout, provisioned_vd, run_single_ios, small_deployment  # noqa: E402
+from common import (  # noqa: E402
+    fanout,
+    median_run,
+    provisioned_vd,
+    run_single_ios,
+    small_deployment,
+)
 
 
 def _deployment_and_vd(vd_size_mb: int):
@@ -64,3 +70,16 @@ class TestFanout:
     def test_fanout_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert fanout(_double, [(5,)]) == [10]
+
+
+class TestMedianRun:
+    def test_returns_the_median_wall_run_and_every_wall(self):
+        walls = iter([3.0, 1.0, 2.0])
+        result = median_run(lambda: {"wall_s": next(walls), "ios": 5}, ("ios",))
+        assert result["wall_s"] == 2.0
+        assert result["wall_s_runs"] == [3.0, 1.0, 2.0]
+
+    def test_deterministic_drift_raises(self):
+        ios = iter([5, 5, 6])
+        with pytest.raises(AssertionError, match="'ios' differs"):
+            median_run(lambda: {"wall_s": 1.0, "ios": next(ios)}, ("ios",))

@@ -84,6 +84,17 @@ class TestDropTailQueue:
         with pytest.raises(ValueError):
             DropTailQueue(0)
 
+    @pytest.mark.parametrize("size", [100, 250, 251])
+    def test_admit_keeps_the_statistics_of_offer_then_poll(self, size):
+        admitted, offered = DropTailQueue(250), DropTailQueue(250)
+        ok = admitted.admit(make_packet(size=size))
+        assert ok == offered.offer(make_packet(size=size))
+        if ok:
+            offered.poll()
+        assert len(admitted) == len(offered) == 0
+        for attr in ("bytes", "enqueued", "dropped", "peak_bytes"):
+            assert getattr(admitted, attr) == getattr(offered, attr)
+
 
 class _Sink:
     def __init__(self, name="sink"):
@@ -147,6 +158,18 @@ class TestChannel:
         ch.send(make_packet(size=700))
         sim.run()
         assert ch.tx_packets == 1 and ch.tx_bytes == 700
+
+    def test_tx_counters_count_frames_whose_serialization_finished(self):
+        sim = Simulator()
+        ch, _ = self._channel(sim, gbps=10.0, prop=10_000)
+        ch.send(make_packet(size=1250))  # on the wire 0-1000ns
+        ch.send(make_packet(size=1250))  # queued, on the wire 1000-2000ns
+        seen = []
+        for t in (0, 999, 1000, 1999, 2000, 5000):
+            sim.schedule_at(t, lambda: seen.append((sim.now, ch.tx_packets, ch.tx_bytes)))
+        sim.run()
+        assert seen == [(0, 0, 0), (999, 0, 0), (1000, 1, 1250),
+                        (1999, 1, 1250), (2000, 2, 2500), (5000, 2, 2500)]
 
 
 class TestLink:
