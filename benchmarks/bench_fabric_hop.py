@@ -10,8 +10,11 @@ five switches between a compute and a storage host):
 
 For each case it reports host µs and kernel events per packet (the
 event that sends the packet included), as the median of
-``common.MEDIAN_RUNS`` runs.  Results are appended to the committed
-``BENCH_fabric_history.jsonl``; nothing is gated.
+``common.MEDIAN_RUNS`` runs, and how the fabric's walks fared: the
+share of packets whose last hop was walked (their walk ended at the
+destination host) and walks rolled back per packet.  Results are
+appended to the committed ``BENCH_fabric_history.jsonl``; nothing is
+gated.
 
     cd benchmarks && PYTHONPATH=../src:. python bench_fabric_hop.py
 """
@@ -27,6 +30,7 @@ from common import MEDIAN_RUNS, format_table, median_run, once, save_output
 
 from repro.ebs import DeploymentSpec, EbsDeployment
 from repro.net import Packet
+from repro.net.link import walks_of
 from repro.sim import US
 
 BENCH_VERSION = 1
@@ -66,11 +70,14 @@ def run_case(case: str) -> dict:
     dep.sim.run()
     wall_s = time.perf_counter() - wall_start
     assert len(received) == count, f"{case}: {len(received)}/{count} delivered"
+    walks = walks_of(dep.sim)
     return {
         "packets": count,
         "wall_s": round(wall_s, 4),
         "us_per_packet": round(wall_s * 1e6 / count, 2),
         "events_per_packet": round(dep.sim.events_processed / count, 3),
+        "walked_to_host_share": round(walks.to_endpoint / count, 3),
+        "rollbacks_per_packet": round(walks.rollbacks / count, 3),
         "sim_ns": dep.sim.now,
     }
 
@@ -78,7 +85,8 @@ def run_case(case: str) -> dict:
 def run_fabric_bench() -> dict:
     cases = {
         case: median_run(lambda case=case: run_case(case),
-                         ("packets", "events_per_packet", "sim_ns"))
+                         ("packets", "events_per_packet", "walked_to_host_share",
+                          "rollbacks_per_packet", "sim_ns"))
         for case in PACKETS
     }
     return {
@@ -97,12 +105,14 @@ def run_baseline() -> str:
     with open(HISTORY_PATH, "a") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
     rows = [
-        [case, r["packets"], f"{r['us_per_packet']:.1f}", f"{r['events_per_packet']:.2f}"]
+        [case, r["packets"], f"{r['us_per_packet']:.1f}", f"{r['events_per_packet']:.2f}",
+         f"{r['walked_to_host_share']:.3f}", f"{r['rollbacks_per_packet']:.3f}"]
         for case, r in entry["cases"].items()
     ]
     return (
         f"Fabric hop microbench (v{BENCH_VERSION}, median of {MEDIAN_RUNS} runs):\n"
-        + format_table(["case", "packets", "host us/packet", "events/packet"], rows)
+        + format_table(["case", "packets", "host us/packet", "events/packet",
+                        "walked to host", "rollbacks/packet"], rows)
     )
 
 

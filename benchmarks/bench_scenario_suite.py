@@ -29,7 +29,7 @@ import os
 import sys
 import time
 
-from common import save_output
+from common import median_run, save_output
 
 from repro.lab.spec import digest
 from repro.scenario import (
@@ -105,6 +105,12 @@ def run_suite_probe() -> dict:
         "wall_s": round(wall_s, 4),
         "ios_per_sec": round(events / wall_s, 1),
     }
+
+
+def measure_suite() -> dict:
+    """The median of :data:`common.MEDIAN_RUNS` suite runs, by wall time;
+    the digests must agree across them."""
+    return median_run(run_suite_probe, ("digests", "combined_digest", "passes", "ios_issued"))
 
 
 def main(argv=None) -> int:

@@ -30,10 +30,11 @@ wall second within the same tolerance.  Skip with ``--no-shard`` when
 only the kernel gate is wanted.
 
 **Scenario gate** (opt-in via ``--scenario``) — runs the CI-sized
-scenario suite from ``bench_scenario_suite.py`` once and compares
-against ``BENCH_scenario_history.jsonl``: the combined report digest
-exactly (the behavior-envelope byte-identity guarantee), every SLO gate
-passing, and suite throughput within the same tolerance.
+scenario suite from ``bench_scenario_suite.py`` ``common.MEDIAN_RUNS``
+times and compares against ``BENCH_scenario_history.jsonl``: the
+combined report digest exactly (the behavior-envelope byte-identity
+guarantee), every SLO gate passing, and the median suite throughput
+within the same tolerance.
 
 CI wires this as the bench smoke step::
 
@@ -53,7 +54,7 @@ from bench_kernel_events import HISTORY_PATH, WORKLOAD_VERSION, measure_referenc
 from bench_scenario_suite import (
     HISTORY_PATH as SCENARIO_HISTORY_PATH,
     SUITE_VERSION,
-    run_suite_probe,
+    measure_suite,
 )
 from bench_shard_scaling import (
     FLEET_VERSION,
@@ -113,10 +114,11 @@ def check_scenario(tolerance: float) -> list:
 
     Opt-in via ``--scenario``: report digests must match the committed
     trajectory exactly (byte-identical behavior envelope), every SLO
-    gate must pass, and suite throughput stays within tolerance.
+    gate must pass, and the median suite throughput of
+    ``common.MEDIAN_RUNS`` runs stays within tolerance.
     """
     baseline = load_scenario_baseline()
-    fresh = run_suite_probe()
+    fresh = measure_suite()
     failures = []
     if not fresh["passes"]:
         failures.append("a suite scenario violated its SLO gates")
@@ -141,7 +143,7 @@ def check_scenario(tolerance: float) -> list:
         )
     print(
         f"scenario bench: committed {baseline['ios_per_sec']:,.0f} io/s, "
-        f"fresh {fresh['ios_per_sec']:,.0f} io/s "
+        f"fresh median {fresh['ios_per_sec']:,.0f} io/s "
         f"({fresh['ios_per_sec'] / baseline['ios_per_sec']:.2f}x, "
         f"tolerance {tolerance:.0%}), digest "
         f"{'ok' if fresh['combined_digest'] == baseline['combined_digest'] else 'DRIFTED'}"

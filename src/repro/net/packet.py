@@ -11,7 +11,8 @@ A :class:`Packet` is the unit moved by links and switches.  It carries:
 * an optional real ``payload`` (bytes) — integrity experiments flow real
   bytes end to end so CRC arithmetic is genuine, while pure performance
   experiments may leave the payload as ``None`` and carry only a size;
-* in-band network telemetry (INT) records appended by switches (§4.5).
+* in-band network telemetry (INT) stamps appended by switches (§4.5),
+  kept as plain tuples and read as :class:`IntRecord` objects.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ class IntRecord:
     tx_bytes: int
     link_gbps: float
 
-    def utilization_hint(self, window_ns: int) -> float:
-        """Rough link utilization implied by tx_bytes over a window."""
-        if window_ns <= 0:
-            return 0.0
-        capacity_bytes = self.link_gbps * 1e9 / 8 * (window_ns / 1e9)
-        if capacity_bytes <= 0:
-            return 0.0
-        return min(1.0, self.tx_bytes / capacity_bytes)
-
 
 @dataclass(slots=True)
 class Packet:
@@ -65,9 +57,13 @@ class Packet:
     created_ns: int = 0
     ttl: int = 32
     pkt_id: int = field(default_factory=lambda: next(_packet_ids))
-    int_records: List[IntRecord] = field(default_factory=list)
+    #: INT stamps, one ``IntRecord``-shaped tuple per switch hop.
+    int_stamps: List[tuple] = field(default_factory=list)
     #: Free-form simulation bookkeeping (send timestamps, retry counts...).
     meta: Dict[str, Any] = field(default_factory=dict)
+    _int_records: Optional[List[IntRecord]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -77,6 +73,16 @@ class Packet:
                 f"payload ({len(self.payload)}B) larger than wire size "
                 f"({self.size_bytes}B)"
             )
+
+    @property
+    def int_records(self) -> List[IntRecord]:
+        """The INT stamps as records, built on first read (only SOLAR's
+        congestion control and probing read them)."""
+        records = self._int_records
+        stamps = self.int_stamps
+        if records is None or len(records) != len(stamps):
+            records = self._int_records = [IntRecord(*stamp) for stamp in stamps]
+        return records
 
     @property
     def flow(self) -> FiveTuple:

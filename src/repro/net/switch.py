@@ -20,6 +20,12 @@ drop-rate draw, ttl; state changes made meanwhile are logged) and
 forwards it in the same call: one kernel event per hop.  So
 ``rx_packets`` and the ``dropped_*`` counters are booked when the
 pipeline ends; nothing in ``src/`` reads them mid-run.
+
+A frame on a walk (see :mod:`repro.net.link`) passes a plainly
+admitting switch without an event of its own; its claim books
+``rx_packets``, ``forwarded``, the ttl and the INT stamp later, so
+reading those two counters first books every claim that has started.
+Any admission write, rewiring or route change rolls the walks back.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..profiles import NetworkProfile
 from ..sim.engine import Simulator
 from .ecmp import flow_hash, pick
-from .link import LINK_STATE_EPOCH, Channel
-from .packet import FiveTuple, IntRecord, Packet
+from .link import LINK_STATE_EPOCH, Channel, rollback_all, settle_all, walks_of
+from .packet import FiveTuple, Packet
 
 #: Flows whose egress one switch remembers before it starts over.
 EGRESS_CACHE_FLOWS = 4096
@@ -41,14 +47,32 @@ def _admission_field(index: int) -> property:
     pipeline must not see it change: every write logs the old state."""
 
     def set_field(self: "Switch", value) -> None:
+        rollback_all(self._walks, self.sim)
         self._log_state()
-        self._admission = self._admission[:index] + (value,) + self._admission[index + 1:]
+        state = self._admission[:index] + (value,) + self._admission[index + 1:]
+        self._admission = state
+        self._plain = state[0] and state[1] <= 0.0 and state[3] <= 0.0
 
     return property(lambda self: self._admission[index], set_field)
 
 
+def _settled_counter(name: str) -> property:
+    """A forward counter that claims book lazily: reads book first."""
+
+    def get(self: "Switch") -> int:
+        settle_all(self._walks, self.sim)
+        return getattr(self, name)
+
+    return property(get, lambda self, value: setattr(self, name, value))
+
+
 class Switch:
     """A single switch; forwarding policy is delegated to the topology."""
+
+    #: Channels into a switch walk frames on through it.
+    _walkable = True
+    rx_packets = _settled_counter("_rx_packets")
+    forwarded = _settled_counter("_forwarded")
 
     up = _admission_field(0)
     blackhole_fraction = _admission_field(1)
@@ -74,6 +98,9 @@ class Switch:
         self._next_hops = next_hops
         #: (up, blackhole fraction, blackhole salt, drop rate).
         self._admission = (True, 0.0, "", 0.0)
+        #: Up, no blackhole, no drop rate: a walk may pass.
+        self._plain = True
+        self._walks = walks_of(sim)
         #: (time, admission state before that time), for frames that
         #: arrived before a change and are still inside the pipeline.
         self._state_log: List[Tuple[int, tuple]] = []
@@ -83,8 +110,8 @@ class Switch:
         #: ECMP hashes the flow, so this is exact, not approximate.
         self._egress: Dict[FiveTuple, Channel] = {}
         self._egress_epoch = -1
-        self.rx_packets = 0
-        self.forwarded = 0
+        self._rx_packets = 0
+        self._forwarded = 0
         self.dropped_no_route = 0
         self.dropped_blackhole = 0
         self.dropped_down = 0
@@ -94,6 +121,7 @@ class Switch:
     # Wiring
     # ------------------------------------------------------------------
     def connect(self, neighbor_name: str, egress: Channel) -> None:
+        rollback_all(self._walks, self.sim)
         self.ports[neighbor_name] = egress
         LINK_STATE_EPOCH[0] += 1
 
@@ -104,6 +132,7 @@ class Switch:
         current link state — its results are cached per flow and
         invalidated on link-state changes (see ``_egress``).
         """
+        rollback_all(self._walks, self.sim)
         self._next_hops = fn
         self._egress.clear()
 
@@ -157,7 +186,7 @@ class Switch:
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, ingress: Channel) -> None:
         """The end of ``packet``'s pipeline: admit as of arrival, forward."""
-        self.rx_packets += 1
+        self._rx_packets += 1
         state = (
             self._state_at(self.sim.now - self.pipeline_ns)
             if self._state_log else self._admission
@@ -178,10 +207,8 @@ class Switch:
         packet.ttl -= 1
         self._forward(packet)
 
-    def _forward(self, packet: Packet) -> None:
-        if not self._admission[0]:
-            self.dropped_down += 1
-            return
+    def _route(self, packet: Packet) -> Optional[Channel]:
+        """The egress toward ``packet.dst`` (None: no live route)."""
         flow = packet.flow
         cache = self._egress
         epoch = LINK_STATE_EPOCH[0]
@@ -198,11 +225,25 @@ class Switch:
                 if name in self.ports and self.ports[name].up
             ]
             if not candidates:
-                self.dropped_no_route += 1
-                return
+                return None
             if len(cache) >= EGRESS_CACHE_FLOWS:
                 cache.clear()
             egress = cache[flow] = self.ports[pick(flow, candidates, salt=self.name)]
+        return egress
+
+    def _forward(self, packet: Packet) -> None:
+        if not self._admission[0]:
+            self.dropped_down += 1
+            return
+        egress = (
+            self._egress.get(packet.flow)
+            if self._egress_epoch == LINK_STATE_EPOCH[0] else None
+        )
+        if egress is None:
+            egress = self._route(packet)
+            if egress is None:
+                self.dropped_no_route += 1
+                return
         tail = egress._tail
         now = self.sim.now
         # A finish due now that was scheduled before this packet arrived
@@ -212,13 +253,13 @@ class Switch:
                 and tail.materialized_ns < now - self.pipeline_ns):
             egress._finish_fast(tail)
         self._stamp_int(packet, egress)
-        self.forwarded += 1
+        self._forwarded += 1
         egress.send(packet)
 
     def _stamp_int(self, packet: Packet, egress: Channel) -> None:
-        """Append an HPCC-style telemetry record (§4.8 per-packet INT)."""
-        packet.int_records.append(
-            IntRecord(self.name, self.sim.now, egress.queue.bytes, egress.tx_bytes, egress.gbps)
+        """Append an HPCC-style telemetry stamp (§4.8 per-packet INT)."""
+        packet.int_stamps.append(
+            (self.name, self.sim.now, egress.queue.bytes, egress.tx_bytes, egress.gbps)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -2,10 +2,11 @@
 
 The simulator ships one scheduler (a calendar queue), one link path (a
 channel that folds an uncontended frame's serialization finish into its
-delivery event) and one switch path (the delivery event is the end of
-the switch pipeline, and the switch forwards from inside it).  Their
-plain counterparts live here, so the tests can show that the optimised
-kernel does exactly what the obvious one does:
+delivery event), one switch path (the delivery event is the end of
+the switch pipeline, and the switch forwards from inside it) and walks
+(a frame passes every idle switch ahead without an event of its own).
+Their plain counterparts live here, so the tests can show that the
+optimised kernel does exactly what the obvious one does:
 
 * :class:`HeapScheduler` — a single binary heap of ``(time, seq, ...)``
   tuples, passed to ``Simulator(scheduler=HeapScheduler())``;
@@ -14,6 +15,9 @@ kernel does exactly what the obvious one does:
 * :func:`per_hop_switches` — patches ``Switch`` so that a frame is
   received at arrival and forwarded from a second event one
   ``switch_forward_ns`` later, with no egress or route caching.
+
+Both also patch ``Channel._walk`` out, so no frame walks;
+:func:`no_walks` does only that.
 
 The oracles run more events than the folded paths, so
 ``events_processed`` is the one observable that differs; everything
@@ -173,17 +177,32 @@ def _deliver(channel: Channel, packet: Packet) -> None:
             channel.dst.receive(packet, channel)
 
 
+def _no_walk(channel: Channel, rec) -> None:
+    """``Channel._walk`` patched out: every frame goes hop by hop."""
+
+
+@contextmanager
+def no_walks():
+    """Run every channel on the one-event-per-hop path: no frame walks."""
+    original = Channel._walk
+    Channel._walk = _no_walk
+    try:
+        yield
+    finally:
+        Channel._walk = original
+
+
 @contextmanager
 def two_event_links():
     """Run every channel built or used inside the block on the
     two-event path.  Build the deployment inside the block: components
     may cache ``channel.send`` at construction."""
-    original = Channel.send
-    Channel.send = two_event_send
+    original = Channel.send, Channel._walk
+    Channel.send, Channel._walk = two_event_send, _no_walk
     try:
         yield
     finally:
-        Channel.send = original
+        Channel.send, Channel._walk = original
 
 
 # ----------------------------------------------------------------------
@@ -234,16 +253,16 @@ def per_hop_switches():
     channels deliver to it at arrival (``pipeline_ns`` 0) and the
     forward is its own event.  Build the deployment inside the block:
     channels read ``pipeline_ns`` at construction."""
-    original = Switch.__init__, Switch.receive, Switch._forward
+    original = Switch.__init__, Switch.receive, Switch._forward, Channel._walk
 
     def init(switch, *args, **kwargs):
         original[0](switch, *args, **kwargs)
         switch.pipeline_ns = 0
 
-    Switch.__init__, Switch.receive, Switch._forward = (
-        init, per_hop_receive, per_hop_forward,
+    Switch.__init__, Switch.receive, Switch._forward, Channel._walk = (
+        init, per_hop_receive, per_hop_forward, _no_walk,
     )
     try:
         yield
     finally:
-        Switch.__init__, Switch.receive, Switch._forward = original
+        Switch.__init__, Switch.receive, Switch._forward, Channel._walk = original

@@ -6,7 +6,10 @@ call.  ``kernel_oracles.per_hop_switches`` is the obvious model: the
 switch receives at arrival and forwards from a second event
 ``switch_forward_ns`` later.  Everything the simulation produces must be
 identical under both; only ``events_processed`` may differ (the oracle
-runs one more event per switch hop).
+runs one more event per switch hop).  Frames also walk past idle
+switches without events of their own (``Channel._walk``); the oracle
+patches that out, and the walk cases at the end pin the claims and
+their rollbacks.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from repro.scenario import get_scenario, run_scenario
 from repro.sim import MS, US, Simulator
 from repro.workloads import FioSpec, run_fio
 
-from kernel_oracles import per_hop_switches
+from kernel_oracles import no_walks, per_hop_switches
 
 #: One delivered packet in this many has its INT records compared in full.
 INT_SAMPLE = 4
@@ -320,3 +323,201 @@ def test_egress_cache_is_bounded_and_follows_the_route_function():
     sim.run()
     assert len(a.received) == flows
     assert [r[1] for r in b.received] == [0]
+
+
+# ----------------------------------------------------------------------
+# Walks: a frame passes every idle switch ahead without an event
+# ----------------------------------------------------------------------
+#: Line rates of the walk topology: the 25G hop is where frames meet.
+WALK_GBPS = {"a->s0": 100.0, "b->s0": 100.0, "s0->s1": 100.0, "c->s1": 40.0,
+             "s1->s2": 25.0, "s2->dst": 50.0}
+
+
+def _walk_topology(sim):
+    """Sources ``a`` and ``b`` meet at ``s0``, ``c`` joins at ``s1``; all
+    traffic goes to ``dst`` over ``s1->s2`` (the slowest hop)."""
+    net = DEFAULT.network
+    sinks = {name: _Sink(sim, name) for name in ("a", "b", "c", "dst")}
+    switches = {}
+    order = ["s0", "s1", "s2", "dst"]
+    for i, name in enumerate(order[:-1]):
+        switches[name] = Switch(sim, name, "tor", net,
+                                next_hops=lambda s, p, nxt=order[i + 1]: [nxt])
+    nodes = {**sinks, **switches}
+    channels = {}
+    for name, gbps in WALK_GBPS.items():
+        src, dst = name.split("->")
+        channels[name] = Channel(sim, name, nodes[src], nodes[dst], gbps, 100, 1 << 20)
+        if src in switches:
+            switches[src].connect(dst, channels[name])
+    return switches, channels, sinks["dst"]
+
+
+def _walk_outcome(sends, change=None, at_ns=0, reads=(), switch_reads=False):
+    """Run ``sends`` — ``(time, entry, sport, size)``, entry a source
+    name or ``"direct"`` for a real send straight onto ``s1->s2`` — with
+    ``change(switches, channels)`` at ``at_ns``, reading every channel's
+    counters at each instant of ``reads`` (and with ``switch_reads``,
+    every switch's)."""
+    sim = Simulator(seed=5)
+    switches, channels, dst = _walk_topology(sim)
+    seen = []
+
+    def read():
+        seen.append((
+            sim.now,
+            [(ch.tx_packets, ch.tx_bytes, ch.queue.enqueued) for ch in channels.values()],
+            [(sw.rx_packets, sw.forwarded) for sw in switches.values()] if switch_reads else (),
+        ))
+
+    for t in reads:
+        sim.schedule_at(t, read)
+    if change is not None:
+        sim.schedule_at(at_ns, change, switches, channels)
+    for t, entry, sport, size in sends:
+        channel = channels["s1->s2" if entry == "direct" else f"{entry}->{'s1' if entry == 'c' else 's0'}"]
+        sim.schedule_at(t, channel.send, Packet(entry, "dst", sport, 9, "udp", size))
+    sim.run()
+    counters = (
+        {n: (sw.rx_packets, sw.forwarded, sw.dropped_no_route, sw.dropped_blackhole,
+             sw.dropped_down, sw.dropped_ttl) for n, sw in switches.items()},
+        {n: (ch.tx_packets, ch.tx_bytes, ch.queue.enqueued, ch.queue.dropped,
+             ch.queue.peak_bytes) for n, ch in channels.items()},
+    )
+    # Not ``sim.now``: a frame dropped at a switch costs the per-hop
+    # oracle its last event at arrival, and the folded switch at the
+    # end of the pipeline.
+    return dst.received, seen, counters, sim.events_processed
+
+
+def _assert_walk_parity(sends, **kwargs):
+    folded = _walk_outcome(sends, **kwargs)
+    with per_hop_switches():
+        oracle = _walk_outcome(sends, **kwargs)
+    assert folded[:-1] == oracle[:-1]
+    return folded[-1], oracle[-1]
+
+
+def test_an_uncontended_packet_runs_three_events():
+    # Its send, its walk's last forward (at ``s2``, where the delivery
+    # is pushed as that forward would push it) and its delivery at
+    # ``dst``; per hop: the send, four deliveries and three forwards.
+    folded, oracle = _assert_walk_parity([(0, "a", 1, 1500)])
+    assert (folded, oracle) == (3, 8)
+
+
+@pytest.mark.parametrize("gap_ns", [0, 1, 60, 119, 120, 121, 240, 479, 480, 481, 1000])
+def test_walks_meeting_on_a_shared_channel(gap_ns):
+    # ``a`` walks first; ``b`` (same path, later) and ``c`` (shorter
+    # path, later) reach ``s1->s2`` as ``a``'s claim starts, overlaps or
+    # ends there, so later walks stop, take an earlier slot, or roll
+    # earlier ones back.
+    sends = [(0, "a", 1, 1500), (gap_ns, "b", 2, 1500), (gap_ns, "c", 3, 600),
+             (2 * gap_ns, "a", 4, 300)]
+    folded, oracle = _assert_walk_parity(sends)
+    assert folded < oracle
+
+
+@pytest.mark.parametrize("at_ns", range(0, 2400, 37))
+def test_real_send_into_a_claimed_slot(at_ns):
+    # Real frames sent straight onto ``s1->s2`` (outside any delivery)
+    # before, inside, at the start of and after the slots the walks
+    # claimed there; the second one queues behind the first.
+    sends = [(0, "a", 1, 1500), (0, "b", 2, 900), (at_ns, "direct", 3, 700),
+             (at_ns + 1, "direct", 4, 100)]
+    _assert_walk_parity(sends)
+
+
+def _claim_starts():
+    """The instants the walks of the contended sends start claims."""
+    starts = []
+    original = Channel._walk
+
+    def spy(channel, rec):
+        original(channel, rec)
+        starts.extend(claim[0] for claim in rec.claims or ())
+
+    Channel._walk = spy
+    try:
+        _walk_outcome([(0, "a", 1, 1500), (0, "b", 2, 900), (300, "c", 3, 400)])
+    finally:
+        Channel._walk = original
+    return sorted(set(starts))
+
+
+def test_real_send_tied_with_a_claim_start():
+    # At exactly a claim's start the real send goes first.  Per hop it
+    # does too, because it was scheduled before the walk's hops were
+    # pushed.  One scheduled after them (mid-run, at the tie instant)
+    # would go second per hop but still first here: the kernel does not
+    # say when the running event was pushed, and only frame deliveries
+    # carry that order (``_InFlight.vtime``/``vseq``).  Only tests send
+    # onto a switch's egress outside a delivery.
+    starts = _claim_starts()
+    assert len(starts) >= 4
+    for start in starts:
+        sends = [(0, "a", 1, 1500), (0, "b", 2, 900), (300, "c", 3, 400),
+                 (start, "direct", 4, 200)]
+        _assert_walk_parity(sends)
+
+
+def _set_route(switches, channels):
+    # Same next hop, new function: the walks' cached routes are void.
+    switches["s1"].set_route_fn(lambda s, p: ["s2"])
+
+
+#: change -> what it does to the walk topology.
+WALK_CHANGES = {
+    "switch_down": lambda sw, ch: sw["s1"].set_up(False),
+    "blackhole": lambda sw, ch: sw["s2"].set_blackhole(1.0),
+    "drop_rate": lambda sw, ch: sw["s1"].set_drop_rate(0.5),
+    "channel_down": lambda sw, ch: ch["s1->s2"].set_up(False),
+    "channel_flap": lambda sw, ch: (ch["s0->s1"].set_up(False), ch["s0->s1"].set_up(True)),
+    "route_fn": _set_route,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_CHANGES))
+def test_claims_in_flight_when_state_changes(kind):
+    sends = [(0, "a", 1, 1500), (0, "b", 2, 900), (150, "c", 3, 400),
+             (400, "a", 4, 1500)]
+    outcomes = set()
+    for at_ns in range(0, 3000, 41):
+        _assert_walk_parity(sends, change=WALK_CHANGES[kind], at_ns=at_ns)
+        outcomes.add(len(_walk_outcome(sends, change=WALK_CHANGES[kind], at_ns=at_ns)[0]))
+    if kind not in ("route_fn", "channel_flap"):  # these lose nothing
+        assert len(outcomes) > 1  # the change hits some packets, not all
+
+
+@pytest.mark.parametrize("ttl", [0, 1, 2, 3, 4])
+def test_ttl_running_out_mid_route(ttl):
+    def outcome():
+        sim = Simulator()
+        switches, channels, dst = _walk_topology(sim)
+        packet = Packet("a", "dst", 1, 9, "udp", 800, ttl=ttl)
+        sim.schedule(0, channels["a->s0"].send, packet)
+        sim.run()
+        return dst.received, {n: sw.dropped_ttl for n, sw in switches.items()}
+
+    folded = outcome()
+    with per_hop_switches():
+        oracle = outcome()
+    assert folded == oracle
+    assert len(folded[0]) == (ttl >= 3)
+
+
+def test_counter_reads_mid_walk_exclude_unstarted_claims():
+    # Every ns of a walk's life, and a coarser grid around the others.
+    sends = [(0, "a", 1, 1500), (0, "b", 2, 900), (200, "c", 3, 400)]
+    reads = sorted(set(range(0, 2600, 13)) | set(range(640, 700)))
+    folded, oracle = _assert_walk_parity(sends, reads=reads)
+    # The packets walked, so most reads came before the claims they
+    # could see were booked by a delivery.
+    assert folded < oracle
+    # Switch counters mid-run: the folded switch books a frame when its
+    # pipeline ends (the per-hop oracle at arrival), walked or not.
+    walked = _walk_outcome(sends, reads=reads, switch_reads=True)
+    with no_walks():
+        hop_by_hop = _walk_outcome(sends, reads=reads, switch_reads=True)
+    assert walked[:-1] == hop_by_hop[:-1]
+    assert walked[-1] < hop_by_hop[-1]
